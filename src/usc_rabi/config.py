@@ -193,10 +193,10 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"n_max must be >= 1, got {cfg.n_max}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
-    for name in ("omega0", "coupling", "omega_f"):
+    for name in ("coupling", "omega_f"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative")
-    for name in ("drive_amp", "drive_freq", "t_end", "dt", "norm_tol"):
+    for name in ("omega0", "drive_amp", "drive_freq", "t_end", "dt", "norm_tol"):
         value = getattr(cfg, name)
         if value is not None and value <= 0:
             key = {"drive_amp": "Omega", "drive_freq": "omega_p"}.get(name, name)

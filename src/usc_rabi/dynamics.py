@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
-from scipy.signal import find_peaks
 
-from . import hilbert
+from . import hilbert, rabi_core
 from .hilbert import SpaceDescriptor
 from .polaron import PolaronParams
 from .rabi_core import ModelParams, SpectrumResult
@@ -113,15 +112,11 @@ def static_hamiltonian(params: ModelParams, space: SpaceDescriptor) -> np.ndarra
     """Drive-free part: embedded Rabi Hamiltonian plus the f level at omega_f."""
     if space.atom_levels != 3:
         raise ValueError("the driven model lives on the 3-level space")
-    a = hilbert.annihilation(space)
-    sx = hilbert.atomic_op(space, "g", "e") + hilbert.atomic_op(space, "e", "g")
-    sz = hilbert.atomic_op(space, "e", "e") - hilbert.atomic_op(space, "g", "g")
-    return (
-        0.5 * params.omega0 * sz
-        + params.omega_c * (a.conj().T @ a)
-        + params.coupling * (a + a.conj().T) @ sx
-        + params.omega_f * hilbert.atomic_op(space, "f", "f")
-    )
+    nph = space.n_photon
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h[: 2 * nph, : 2 * nph] = rabi_core.build_h_rabi(params, hilbert.make_space(space.n_max, 2))
+    h[2 * nph :, 2 * nph :] = np.diag(params.omega_f + params.omega_c * np.arange(nph))
+    return h
 
 
 def drive_operator(space: SpaceDescriptor) -> np.ndarray:
@@ -167,12 +162,6 @@ def resonance_frequency(params: ModelParams, source, n: int = 1, mode: str = "ex
             raise TypeError("approx mode needs PolaronParams")
         return params.omega_f + params.omega_c - source.e_approx
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _parity_forbidden_indices(space: SpaceDescriptor) -> np.ndarray:
-    idx = [space.index("g", n) for n in range(1, space.n_photon, 2)]
-    idx += [space.index("e", n) for n in range(0, space.n_photon, 2)]
-    return np.array(sorted(idx))
 
 
 def _apply_exponential(h_matvec, dt: float, psi: np.ndarray, n_sub: int) -> np.ndarray:
@@ -229,7 +218,11 @@ def propagate(
     f_block = slice(2 * nph, 3 * nph)
     idx_f1 = space.index("f", 1)
     idx_f3 = space.index("f", 3) if space.n_max >= 3 else None
-    forbidden = _parity_forbidden_indices(space)
+    # g and e keep their two-level indices in the 3-level space, so the
+    # parity-forbidden states are the -1 entries of the two-level parity
+    forbidden = np.flatnonzero(
+        np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) < 0
+    )
 
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.dt
@@ -349,6 +342,8 @@ def rabi_extract(series: TimeSeries, smooth_window: int | None = None) -> RabiFe
         smooth = np.convolve(p, kernel, mode="same")
     else:
         smooth = p
+
+    from scipy.signal import find_peaks  # deferred: scipy.signal dominates import time
 
     # prominence floor rejects ripple remnants that survive the smoothing
     peaks, _ = find_peaks(

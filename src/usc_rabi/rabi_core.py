@@ -21,7 +21,6 @@ from .hilbert import SpaceDescriptor
 
 PARITY_VIOLATION_TOL = 1e-9
 GROUND_GAP_TOL = 1e-10
-DEGENERACY_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,68 +94,47 @@ def build_h_rabi(params: ModelParams, space: SpaceDescriptor) -> np.ndarray:
 def parity_matrix(space: SpaceDescriptor) -> np.ndarray:
     """Photon-number parity combined with the atomic inversion.
 
-    Built as (|g><g| - |e><e|) * (-1)^(a^dag a) so that the subspace containing
-    the vacuum |g,0> has eigenvalue +1.  Commutes with the Rabi Hamiltonian.
+    The diagonal matrix (|g><g| - |e><e|) (-1)^(a^dag a): +1 on {|g,even>,
+    |e,odd>}, the sector that holds the vacuum |g,0>, and -1 on the complement.
+    Commutes with the Rabi Hamiltonian; every parity mask in the package is
+    read off its diagonal.
     """
     if space.atom_levels != 2:
         raise ValueError("parity is defined on the two-level space")
-    sz_flip = hilbert.atomic_op(space, "g", "g") - hilbert.atomic_op(space, "e", "e")
-    signs = np.diag([(-1.0) ** n for n in range(space.n_photon)])
-    return sz_flip @ np.kron(np.eye(2), signs)
-
-
-def _even_mask(space: SpaceDescriptor) -> np.ndarray:
-    """Boolean mask of the +1-parity basis states {|g,even>, |e,odd>}."""
-    mask = np.zeros(space.dim, dtype=bool)
-    for n in range(space.n_photon):
-        mask[space.index("g", n)] = n % 2 == 0
-        mask[space.index("e", n)] = n % 2 == 1
-    return mask
+    fock = 1.0 - 2.0 * (np.arange(space.n_photon) % 2)
+    return np.diag(np.concatenate([fock, -fock]))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        sig = np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))
-        pivot = col[sig[0]]
-        out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
-
-
-def _purify_degenerate_clusters(
-    eigenvalues: np.ndarray, vectors: np.ndarray, pi: np.ndarray
-) -> np.ndarray:
-    """Rotate numerically degenerate eigenvector clusters into parity eigenstates.
-
-    Within a cluster of eigenvalues closer than DEGENERACY_CLUSTER_TOL the
-    eigensolver returns an arbitrary mixture; parity and the Hamiltonian are
-    simultaneously diagonalizable there, so this rotation is exact.
-    """
-    out = vectors.copy()
-    start = 0
-    for k in range(1, len(eigenvalues) + 1):
-        boundary = k == len(eigenvalues) or (
-            eigenvalues[k] - eigenvalues[k - 1] > DEGENERACY_CLUSTER_TOL
-        )
-        if boundary:
-            if k - start > 1:
-                block = out[:, start:k]
-                pi_block = block.conj().T @ pi @ block
-                _, w = np.linalg.eigh(pi_block)
-                out[:, start:k] = block @ w
-            start = k
-    return out
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    pivot = vectors[first, np.arange(vectors.shape[1])]
+    return vectors * (np.conj(pivot) / np.abs(pivot))
 
 
 def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResult:
-    """Exact diagonalization of the Rabi Hamiltonian with parity bookkeeping."""
+    """Exact diagonalization of the Rabi Hamiltonian, one parity sector at a time.
+
+    The Hamiltonian is block diagonal in the two parity sectors, so each block
+    is diagonalized on its own and every eigenvector is a parity eigenstate by
+    construction, also where levels of the two sectors cross.  Raises if the
+    cross-sector block of the Hamiltonian is not exactly zero.
+    """
     h = build_h_rabi(params, space)
-    w, v = hilbert.eigh(h)
-    pi = parity_matrix(space)
-    v = _purify_degenerate_clusters(w, v, pi)
-    v = _fix_phases(v)
+    even = np.diag(parity_matrix(space)) > 0
+    if np.any(h[np.ix_(even, ~even)]):
+        raise ValueError("the Hamiltonian couples the two parity sectors")
+    w = np.empty(space.dim)
+    v = np.zeros((space.dim, space.dim), dtype=complex)
+    col = 0
+    for sector in (even, ~even):
+        ws, vs = hilbert.eigh(h[np.ix_(sector, sector)])
+        w[col : col + len(ws)] = ws
+        v[sector, col : col + len(ws)] = vs
+        col += len(ws)
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], _fix_phases(v[:, order])
     spectrum = SpectrumResult(
         space=space, eigenvalues=w, eigenvectors=v, parities=np.zeros(len(w))
     )
@@ -170,20 +148,17 @@ def parity_labels(spectrum: SpectrumResult) -> np.ndarray:
     Raises if any eigenvector has weight above PARITY_VIOLATION_TOL on the
     opposite-parity basis subset; that signals a truncation or numerics bug.
     """
-    mask = _even_mask(spectrum.space)
-    labels = np.empty(spectrum.eigenvectors.shape[1])
-    for k in range(spectrum.eigenvectors.shape[1]):
-        col = spectrum.eigenvectors[:, k]
-        even_w = float(np.sum(np.abs(col[mask]) ** 2))
-        label = 1.0 if even_w >= 0.5 else -1.0
-        opposite = col[~mask] if label > 0 else col[mask]
-        violation = float(np.max(np.abs(opposite)))
-        if violation >= PARITY_VIOLATION_TOL:
-            raise ValueError(
-                f"eigenvector {k} mixes parities (opposite-parity amplitude "
-                f"{violation:.3e}); truncation or numerics bug"
-            )
-        labels[k] = label
+    even = np.diag(parity_matrix(spectrum.space)) > 0
+    mags = np.abs(spectrum.eigenvectors)
+    labels = np.where(np.sum(mags[even] ** 2, axis=0) >= 0.5, 1.0, -1.0)
+    violation = np.where(labels > 0, mags[~even].max(axis=0), mags[even].max(axis=0))
+    bad = np.flatnonzero(violation >= PARITY_VIOLATION_TOL)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"eigenvector {k} mixes parities (opposite-parity amplitude "
+            f"{violation[k]:.3e}); truncation or numerics bug"
+        )
     return labels
 
 

@@ -202,6 +202,11 @@ class TestExitCodes:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["fig2-sweep", "--config", str(tmp_path / "absent.cfg")]) == 3
 
+    @pytest.mark.parametrize("preset", ["fig2-sweep", "two-state-compare"])
+    def test_zero_omega0_is_config_error(self, tmp_path, preset):
+        cfg = _write(tmp_path, "w0.cfg", "omega0 = 0\nn_max = 8\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "w0.csv")]) == 3
+
     def test_vanishing_coupling_needs_explicit_horizon(self, tmp_path):
         cfg = _write(tmp_path, "l0.cfg", "lambda = 0.0\nn_max = 8\n")
         assert main(["fig3-evolve", "--config", str(cfg),

@@ -15,6 +15,7 @@ from usc_rabi import (
     parity_matrix,
     solve_spectrum,
 )
+from usc_rabi import rabi_core
 from conftest import C10_EXACT, C30_EXACT, G0_OVERLAP, LAMBDA0
 
 
@@ -162,6 +163,57 @@ class TestParity:
     def test_random_coupling_labels(self, lam):
         spec = solve_spectrum(ModelParams(omega0=1.0, coupling=lam), make_space(24, 2))
         assert np.all(np.abs(spec.parities) == 1.0)
+
+
+class TestSectorSolve:
+    def test_juddian_crossing(self):
+        # omega0 = 1: a +1 and a -1 level cross at E = 1 - lambda^2 when
+        # lambda = sqrt(3)/4 (Braak, PRL 107, 100401 (2011))
+        lam = np.sqrt(3.0) / 4.0
+        params = ModelParams(omega0=1.0, coupling=lam)
+        space = make_space(40, 2)
+        spec = solve_spectrum(params, space)
+        tie = np.flatnonzero(np.abs(spec.eigenvalues - (1.0 - lam**2)) < 1e-12)
+        assert len(tie) == 2
+        assert sorted(spec.parities[tie]) == [-1.0, 1.0]
+        h = build_h_rabi(params, space)
+        v = spec.eigenvectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(space.dim))) < 1e-12
+        residuals = np.linalg.norm(h @ v - v * spec.eigenvalues, axis=0)
+        assert np.max(residuals) <= 1e-12 * np.linalg.norm(h, 2)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.3, np.sqrt(3.0) / 4.0, 0.8, 1.5])
+    def test_matches_full_space_oracle(self, lam):
+        params = ModelParams(omega0=1.0, coupling=lam)
+        space = make_space(40, 2)
+        oracle = np.linalg.eigvalsh(build_h_rabi(params, space))
+        w = solve_spectrum(params, space).eigenvalues
+        assert np.all(np.abs(w - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+
+    def test_vectorized_helpers_match_loop_reference(self, spectrum):
+        space = spectrum.space
+        rng = np.random.default_rng(7)
+        vectors = spectrum.eigenvectors * np.exp(2j * np.pi * rng.random(space.dim))
+        expected = vectors.copy()
+        for k in range(vectors.shape[1]):
+            col = vectors[:, k]
+            pivot = col[np.flatnonzero(np.abs(col) > 1e-8 * np.max(np.abs(col)))[0]]
+            expected[:, k] = col * (np.conj(pivot) / abs(pivot))
+        # the broadcast complex product may round differently by one unit
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(rabi_core._fix_phases(vectors) - expected)) <= 2 * eps
+        even = np.array([(level == "g") == (n % 2 == 0)
+                         for level, n in map(space.level_photon, range(space.dim))])
+        weights = np.sum(np.abs(spectrum.eigenvectors[even]) ** 2, axis=0)
+        assert np.array_equal(parity_labels(spectrum), np.where(weights >= 0.5, 1.0, -1.0))
+
+    def test_cross_sector_coupling_rejected(self, monkeypatch, base_params, space2):
+        h = build_h_rabi(base_params, space2)
+        g0, g1 = space2.index("g", 0), space2.index("g", 1)
+        h[g0, g1] = h[g1, g0] = 1e-3
+        monkeypatch.setattr(rabi_core, "build_h_rabi", lambda params, space: h)
+        with pytest.raises(ValueError, match="parity sectors"):
+            solve_spectrum(base_params, space2)
 
 
 class TestSpectrumConvergence:

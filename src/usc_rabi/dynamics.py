@@ -15,8 +15,25 @@ with H_1,2 evaluated at the Gauss-Legendre nodes of the step,
 which is exactly unitary per step and keeps every sampled probability stable
 to ~1e-9 under step halving at the default grid.  The second-order midpoint
 exponential U = exp(-i H(t+dt/2) dt) and classical RK4 are retained as
-cross-checks.  Exponentials are applied to the state by an adaptive Taylor
-expansion that is exact to machine precision at the step sizes used here.
+cross-checks.
+
+propagate runs on one of two paths, chosen from its inputs:
+
+- sector-Floquet (magnus4 only): when the drive is periodic (drive_freq > 0),
+  dt divides its period T = 2*pi/drive_freq to 1e-12 relative (the default
+  dt = T/200 and its halving T/400 do), and the initial state is exactly zero
+  outside the parity sector {|g,even>, |e,odd>, |f,odd>} that the Rabi
+  coupling and the drive keep closed (the embedded ground state lies in it).
+  The CF4 factors then repeat every period: they are built on the sector by
+  a real eigendecomposition, multiplied into the one-period propagator U(T),
+  and the sampled states are read off psi(qT + r dt) = P_r U(T)^q psi(0),
+  with P_r the first r factors of the period (Shirley, Phys. Rev. 138, B979
+  (1965)).
+- step loop: every other input (rk4, midpoint-exponential, a step off the
+  period grid, no drive frequency, a state with weight outside the sector)
+  steps the full 3-level space, applying each exponential to the state by an
+  adaptive Taylor expansion exact to machine precision at the step sizes
+  used here.  It is also the oracle the sector path is tested against.
 """
 
 from __future__ import annotations
@@ -46,6 +63,8 @@ DEFAULT_NORM_TOL = 1e-9
 DEFAULT_STEPS_PER_DRIVE_CYCLE = 200
 MIN_STEPS_PER_DRIVE_CYCLE = 50
 DEFAULT_MIN_SAMPLES = 2000
+# relative tolerance for a step to count as dividing the drive period
+PERIOD_GRID_RTOL = 1e-12
 
 
 class NormDriftError(RuntimeError):
@@ -96,7 +115,8 @@ class TimeSeries:
 
     p_ground is the overlap probability with the initial (dressed ground)
     state; parity_leak tracks the largest amplitude on the parity-forbidden
-    {|g,odd>, |e,even>} basis states, which only integrator error can populate.
+    {|g,odd>, |e,even>} basis states, which only integrator error can populate
+    (exactly 0 on the sector-Floquet path, which never leaves the sector).
     """
 
     times: np.ndarray
@@ -195,7 +215,14 @@ def propagate(
     The initial state must be normalized on the 3-level space (usually the
     embedded exact dressed ground state).  Samples are taken every
     config.sample_every steps plus the final step; aborts with NormDriftError
-    if the state norm leaves 1 +- norm_tol.
+    naming the earliest sample whose norm leaves 1 +- norm_tol.
+
+    The series is computed on one of two paths, chosen from the inputs.  With
+    method magnus4, a drive with drive_freq > 0, a step that divides the drive
+    period to PERIOD_GRID_RTOL, and an initial state exactly zero outside the
+    driven parity sector, it runs on that sector one drive period at a time
+    (_propagate_sector).  Every other input runs the full-space step loop
+    (_step_loop).
     """
     if space.atom_levels != 3:
         raise ValueError("propagation runs on the 3-level space")
@@ -212,6 +239,137 @@ def propagate(
                 f"(need dt <= {dt_max:.4g})"
             )
 
+    # g and e keep their two-level indices in the 3-level space, and the
+    # drive |f><e| + |e><f| gives f the parity of e
+    even = np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) > 0
+    sector = np.concatenate([even, even[space.n_photon :]])
+    n_per = _steps_per_period(params, config.dt)
+    if config.method == "magnus4" and n_per and not np.any(initial[~sector]):
+        return _propagate_sector(params, space, config, initial, keep_states, sector, n_per)
+    return _step_loop(params, space, config, initial, keep_states)
+
+
+def _steps_per_period(params: ModelParams, dt: float) -> int:
+    """Steps per drive period T if dt divides T to PERIOD_GRID_RTOL, else 0."""
+    if params.drive_freq <= 0:
+        return 0
+    period = 2.0 * np.pi / params.drive_freq
+    n_per = int(round(period / dt))
+    return n_per if abs(n_per * dt - period) <= PERIOD_GRID_RTOL * period else 0
+
+
+def _norm_drift(nrm: float, t: float, config: PropagationConfig) -> NormDriftError:
+    return NormDriftError(
+        f"norm drifted to {nrm:.12f} at t={t:.4f} "
+        f"(tolerance {config.norm_tol:g}, method {config.method})"
+    )
+
+
+def _propagate_sector(
+    params: ModelParams,
+    space: SpaceDescriptor,
+    config: PropagationConfig,
+    initial: np.ndarray,
+    keep_states: bool,
+    sector: np.ndarray,
+    n_per: int,
+) -> TimeSeries:
+    """magnus4 on the driven parity sector, one drive period at a time.
+
+    The Rabi coupling and the drive keep {|g,even>, |e,odd>, |f,odd>} closed,
+    so the state never leaves it and parity_leak is exactly 0 by construction.
+    Step k and step k + n_per use the same CF4 factors, each built as
+    q diag(exp(-i (dt/2) w)) q^T from a real eigh.  Pass 1 multiplies one
+    period of factors into U(T); psi(qT) = U(T)^q psi(0) is formed only for
+    the periods that hold a sample; pass 2 rebuilds the factors and steps
+    those states together through one period, reading each sample off its
+    column at its step.  Factors are rebuilt rather than stored: n_per of
+    them would dominate the memory at large n_max.
+    """
+    blocks = []
+    for m in (static_hamiltonian(params, space), drive_operator(space)):
+        if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
+            raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
+        blocks.append(m[np.ix_(sector, sector)].real)
+    h_s, v_s = blocks
+    dt = config.dt
+    amp, freq = params.drive_amp, params.drive_freq
+
+    def step(x: np.ndarray, r: int) -> np.ndarray:
+        """Apply CF4 step r of the period to x, the float view of complex columns."""
+        t = r * dt
+        c1 = amp * np.cos(freq * (t + _GAUSS_C1 * dt))
+        c2 = amp * np.cos(freq * (t + _GAUSS_C2 * dt))
+        for gamma in (2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2), 2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)):
+            w, q = np.linalg.eigh(h_s + gamma * v_s)
+            y = (q.T @ x).view(complex) * np.exp(-0.5j * dt * w)[:, None]
+            x = q @ y.view(float)
+        return x
+
+    # sample at step m = period * n_per + phase with phase in 1..n_per (0 only for m = 0)
+    n_steps = max(1, int(round(config.t_end / dt)))
+    marks = np.unique(np.r_[0, np.arange(config.sample_every, n_steps + 1, config.sample_every), n_steps])
+    period = np.maximum(marks - 1, 0) // n_per
+    phase = marks - period * n_per
+    periods, column = np.unique(period, return_inverse=True)
+
+    dim = h_s.shape[0]
+    psi0 = initial[sector]
+    starts = np.empty((dim, len(periods)), dtype=complex)
+    if periods[-1] > 0:
+        u = np.eye(dim, dtype=complex).view(float)
+        for r in range(n_per):
+            u = step(u, r)
+        u = u.view(complex)
+    psi, q = psi0, 0
+    for j, target in enumerate(periods):
+        for _ in range(target - q):
+            psi = u @ psi
+        starts[:, j], q = psi, target
+
+    pos = np.cumsum(sector) - 1
+    i_f1 = pos[space.index("f", 1)]
+    i_f3 = pos[space.index("f", 3)] if space.n_max >= 3 else None
+    n = len(marks)
+    pf1, pf3, pg, norms = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
+    kept = np.empty((n, dim), dtype=complex) if keep_states else None
+    x = starts.view(float)
+    for r in range(int(phase.max()) + 1):
+        if r:
+            x = step(x, r - 1)
+        hit = np.flatnonzero(phase == r)
+        if hit.size:
+            states = x.view(complex)[:, column[hit]]
+            pf1[hit] = np.abs(states[i_f1]) ** 2
+            if i_f3 is not None:
+                pf3[hit] = np.abs(states[i_f3]) ** 2
+            pg[hit] = np.abs(psi0.conj() @ states) ** 2
+            norms[hit] = np.linalg.norm(states, axis=0)
+            if kept is not None:
+                kept[hit] = states.T
+
+    times = marks * dt
+    drift = np.flatnonzero(np.abs(norms - 1.0) > config.norm_tol)
+    if drift.size:
+        raise _norm_drift(norms[drift[0]], times[drift[0]], config)
+    states = None
+    if kept is not None:
+        states = np.zeros((n, space.dim), dtype=complex)
+        states[:, sector] = kept
+    return TimeSeries(
+        times=times, p_f1=pf1, p_f3=pf3, p_ground=pg, norm=norms,
+        parity_leak=np.zeros(n), states=states,
+    )
+
+
+def _step_loop(
+    params: ModelParams,
+    space: SpaceDescriptor,
+    config: PropagationConfig,
+    initial: np.ndarray,
+    keep_states: bool = False,
+) -> TimeSeries:
+    """Full-space step loop of propagate; the oracle the sector path is tested against."""
     h_static = static_hamiltonian(params, space)
     nph = space.n_photon
     e_block = slice(nph, 2 * nph)
@@ -249,10 +407,7 @@ def propagate(
     def sample(t: float):
         nrm = float(np.linalg.norm(psi))
         if abs(nrm - 1.0) > config.norm_tol:
-            raise NormDriftError(
-                f"norm drifted to {nrm:.12f} at t={t:.4f} "
-                f"(tolerance {config.norm_tol:g}, method {config.method})"
-            )
+            raise _norm_drift(nrm, t, config)
         times.append(t)
         pf1.append(abs(psi[idx_f1]) ** 2)
         pf3.append(abs(psi[idx_f3]) ** 2 if idx_f3 is not None else 0.0)

@@ -58,22 +58,27 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     return path
 
 
-def guarded_spectrum(params: ModelParams, n_max: int, label: str = "") -> rabi_core.SpectrumResult:
+def guarded_spectrum(
+    params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
+) -> rabi_core.SpectrumResult:
     """Diagonalize at n_max and at 2*n_max; reject if the reported quantities moved.
 
-    Guards the ground energy and the single-virtual-photon amplitude to 1e-8.
+    Guards the ground energy and |c_n0| for every n in `photons` (by default
+    the single-virtual-photon amplitude) to 1e-8.
     """
     spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
     spec2 = rabi_core.solve_spectrum(params, make_space(2 * n_max, 2))
     d_energy = abs(spec.ground_energy - spec2.ground_energy)
-    d_c10 = abs(
-        abs(rabi_core.dressed_amplitude(spec, 1)) - abs(rabi_core.dressed_amplitude(spec2, 1))
-    )
-    if d_energy > GUARD_TOL or d_c10 > GUARD_TOL:
+    d_amps = {
+        n: abs(abs(rabi_core.dressed_amplitude(spec, n)) - abs(rabi_core.dressed_amplitude(spec2, n)))
+        for n in photons
+    }
+    if d_energy > GUARD_TOL or max(d_amps.values()) > GUARD_TOL:
         where = f" at {label}" if label else ""
+        moved = ", ".join(f"amplitude c{n}0 moved {d:.3e}" for n, d in d_amps.items())
         raise ConvergenceGuardError(
             f"truncation n_max={n_max} not converged{where}: "
-            f"ground energy moved {d_energy:.3e}, amplitude moved {d_c10:.3e}"
+            f"ground energy moved {d_energy:.3e}, {moved}"
         )
     return spec
 
@@ -217,7 +222,7 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
     """
     drive_amp = cfg.drive_amp if cfg.drive_amp is not None else 0.4
     base = _base_params(cfg, drive_amp=drive_amp)
-    spec = guarded_spectrum(base, cfg.n_max)
+    spec = guarded_spectrum(base, cfg.n_max, photons=(1, 3))
     pol = polaron.solve_xi_eta(base)
     psi0, _ = rabi_core.ground_state(spec)
     initial = dynamics.embed_ground_state(psi0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -193,6 +198,22 @@ class TestCliRuns:
         assert main(["convergence-report", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_long_horizon_two_state_compare(self, tmp_path):
+        # lambda = 3 derives a horizon of about 407k steps at the default grid
+        cfg = _write(tmp_path, "l3.cfg", "lambda = 3\n")
+        out = tmp_path / "l3.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "usc_rabi.cli", "two-state-compare",
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names, data = _read_columns(out)
+        assert np.max(np.abs(data[:, names.index("norm")] - 1.0)) < 1e-9
+
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
@@ -229,6 +250,14 @@ class TestExitCodes:
         )
         assert main(["fig2-sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "g.csv")]) == 2
+
+    def test_three_photon_amplitude_guard_failure(self, tmp_path, capsys):
+        # at n_max = 4, lambda = 0.2 the ground energy and c10 pass the 1e-8
+        # guard but the 3-photon amplitude c30 that resonance-scan reports does not
+        cfg = _write(tmp_path, "c30.cfg", "n_max = 4\nlambda = 0.2\n")
+        assert main(["resonance-scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "c30.csv")]) == 2
+        assert "c30 moved" in capsys.readouterr().err
 
     def test_refinement_guard_failure(self, tmp_path):
         # the midpoint rule at the default step is not pointwise-converged

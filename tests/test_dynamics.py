@@ -18,6 +18,7 @@ from usc_rabi import (
     resonance_frequency,
     solve_spectrum,
 )
+from usc_rabi import dynamics
 from usc_rabi.dynamics import TimeSeries
 from conftest import OMEGA_P_APPROX, OMEGA_P_EXACT
 
@@ -243,6 +244,121 @@ class TestPropagate:
         assert series.states is not None
         assert series.states.shape == (len(series.times), 3 * (N_SMALL + 1))
         assert np.allclose(series.states[0], initial)
+
+
+FIELDS = ("times", "p_f1", "p_f3", "p_ground", "norm", "parity_leak", "states")
+
+
+def _sector_mask(space):
+    """{|g,even>, |e,odd>, |f,odd>}: the parity sector the drive keeps closed."""
+    mask = np.zeros(space.dim, dtype=bool)
+    for level, first in (("g", 0), ("e", 1), ("f", 1)):
+        mask[[space.index(level, n) for n in range(first, space.n_photon, 2)]] = True
+    return mask
+
+
+def _fields(series):
+    return {f: getattr(series, f) for f in FIELDS if getattr(series, f) is not None}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("propagate took the wrong path")
+
+
+class TestSectorFloquet:
+    """The sector-Floquet path of propagate against the full-space step loop."""
+
+    @pytest.fixture(scope="class")
+    def setups(self):
+        base = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0)
+        out = {}
+        for n_max in (12, 20):
+            spec = solve_spectrum(base, make_space(n_max, 2))
+            psi0, _ = ground_state(spec)
+            omega_p = resonance_frequency(base, spec, n=1, mode="exact")
+            out[n_max] = (embed_ground_state(psi0), omega_p)
+        return base, out
+
+    # (n_max, steps per period, sample_every, t_end in periods, drive_amp, keep_states)
+    @pytest.mark.parametrize("n_max, n_per, every, periods, amp, keep", [
+        (12, 200, 1, 5.37, 0.2, True),    # t_end off a period multiple
+        (12, 200, 7, 4.0, 0.4, False),    # on a period multiple; 7 does not divide 200
+        (20, 400, 7, 3.51, 0.2, False),
+        (20, 200, 1, 2.2, 0.2, True),
+        (12, 400, 1, 0.63, 0.2, False),   # t_end < T: no one-period propagator
+        (12, 200, 7, 3.3, 0.0, True),     # drive off, drive_freq > 0
+    ])
+    def test_matches_step_loop(self, setups, monkeypatch, n_max, n_per, every, periods, amp, keep):
+        base, by_n = setups
+        initial, omega_p = by_n[n_max]
+        params = _driven(base, amp, omega_p)
+        period = 2.0 * np.pi / omega_p
+        cfg = PropagationConfig(t_end=periods * period, dt=period / n_per, sample_every=every)
+        space = make_space(n_max, 3)
+        oracle = dynamics._step_loop(params, space, cfg, initial, keep_states=keep)
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        fast = propagate(params, space, cfg, initial, keep_states=keep)
+        want, got = _fields(oracle), _fields(fast)
+        assert want.keys() == got.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape, name
+            assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
+        assert np.array_equal(fast.times, oracle.times)
+        assert np.all(fast.parity_leak == 0.0)
+        if keep:
+            assert np.all(fast.states[:, ~_sector_mask(space)] == 0.0)
+
+    def test_repeatable(self, small_setup):
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        cfg = default_config(params, t_end=12.0)
+        space = make_space(N_SMALL, 3)
+        a = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        b = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        assert all(np.array_equal(a[name], b[name]) for name in FIELDS)
+
+    def test_norm_drift_names_earliest_sample(self, small_setup, monkeypatch):
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        space = make_space(N_SMALL, 3)
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        loose = propagate(params, space, default_config(params, t_end=12.0, norm_tol=1.0), initial)
+        drift = np.flatnonzero(np.abs(loose.norm - 1.0) > 1e-16)
+        assert drift.size
+        t_first = loose.times[drift[0]]
+        with pytest.raises(NormDriftError, match=f"at t={t_first:.4f} "):
+            propagate(params, space, default_config(params, t_end=12.0, norm_tol=1e-16), initial)
+
+    @pytest.mark.parametrize("case", ["rk4", "midpoint-exponential", "off-grid dt",
+                                      "off-sector state", "no drive frequency"])
+    def test_other_inputs_run_the_step_loop(self, small_setup, monkeypatch, case):
+        base, _, initial, omega_p = small_setup
+        space = make_space(N_SMALL, 3)
+        params = _driven(base, 0.2, omega_p)
+        period = 2.0 * np.pi / omega_p
+        method, dt = "magnus4", period / 200
+        if case in ("rk4", "midpoint-exponential"):
+            method = case
+        elif case == "off-grid dt":
+            dt = period / 200.5
+        elif case == "off-sector state":
+            initial = initial + space.basis_state("g", 1)
+            initial = initial / np.linalg.norm(initial)
+        else:
+            params = _driven(base, 0.2, 0.0)
+        cfg = PropagationConfig(t_end=3.0, dt=dt, sample_every=3, norm_tol=1e-7, method=method)
+        oracle = _fields(dynamics._step_loop(params, space, cfg, initial, keep_states=True))
+        monkeypatch.setattr(dynamics, "_propagate_sector", _refuse)
+        got = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        assert all(np.array_equal(got[name], oracle[name]) for name in FIELDS)
+
+    def test_step_loop_parity_leak_stays_small(self, small_setup):
+        # the sector path has no leak to measure; the full-space loop keeps the check alive
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        cfg = default_config(params, t_end=40.0)
+        series = dynamics._step_loop(params, make_space(N_SMALL, 3), cfg, initial)
+        assert np.max(series.parity_leak) < 1e-6
 
 
 def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):

@@ -286,12 +286,14 @@ def _propagate_sector(
     column at its step.  Factors are rebuilt rather than stored: n_per of
     them would dominate the memory at large n_max.
     """
-    blocks = []
-    for m in (static_hamiltonian(params, space), drive_operator(space)):
+    def sector_block(m: np.ndarray) -> np.ndarray:
         if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
             raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
-        blocks.append(m[np.ix_(sector, sector)].real)
-    h_s, v_s = blocks
+        return m[np.ix_(sector, sector)].real
+
+    # one at a time: two full-space matrices alive together set the peak memory
+    h_s = sector_block(static_hamiltonian(params, space))
+    v_s = sector_block(drive_operator(space))
     dt = config.dt
     amp, freq = params.drive_amp, params.drive_freq
 

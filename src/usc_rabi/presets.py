@@ -220,6 +220,8 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
     peak appears in that window.  An `omega_p` sweep scans an absolute range
     instead.
     """
+    if cfg.n_max < 3:
+        raise ConfigError(f"resonance-scan reads |f,3> and needs n_max >= 3, got {cfg.n_max}")
     drive_amp = cfg.drive_amp if cfg.drive_amp is not None else 0.4
     base = _base_params(cfg, drive_amp=drive_amp)
     spec = guarded_spectrum(base, cfg.n_max, photons=(1, 3))

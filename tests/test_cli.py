@@ -259,6 +259,12 @@ class TestExitCodes:
                      "--out", str(tmp_path / "c30.csv")]) == 2
         assert "c30 moved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.5])
+    def test_resonance_scan_needs_three_photons(self, tmp_path, coupling):
+        cfg = _write(tmp_path, "n2.cfg", f"n_max = 2\nlambda = {coupling}\n")
+        assert main(["resonance-scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "n2.csv")]) == 3
+
     def test_refinement_guard_failure(self, tmp_path):
         # the midpoint rule at the default step is not pointwise-converged
         # on a window edge; the report must catch that and exit 2

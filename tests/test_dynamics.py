@@ -352,6 +352,20 @@ class TestSectorFloquet:
         got = _fields(propagate(params, space, cfg, initial, keep_states=True))
         assert all(np.array_equal(got[name], oracle[name]) for name in FIELDS)
 
+    # a Hermitian perturbation that couples the sectors, or one that is not real
+    @pytest.mark.parametrize("ket, delta", [(("g", 1), 1e-3), (("e", 1), 1e-3j)])
+    def test_rejects_hamiltonian_off_the_sector(self, small_setup, monkeypatch, ket, delta):
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        space = make_space(N_SMALL, 3)
+        h = dynamics.static_hamiltonian(params, space)
+        i, j = space.index("g", 0), space.index(*ket)
+        h[i, j] += delta
+        h[j, i] = np.conj(h[i, j])
+        monkeypatch.setattr(dynamics, "static_hamiltonian", lambda *args: h)
+        with pytest.raises(ValueError, match="parity sector"):
+            propagate(params, space, default_config(params, t_end=1.0), initial)
+
     def test_step_loop_parity_leak_stays_small(self, small_setup):
         # the sector path has no leak to measure; the full-space loop keeps the check alive
         base, _, initial, omega_p = small_setup

@@ -310,7 +310,8 @@ def _propagate_sector(
 
     # sample at step m = period * n_per + phase with phase in 1..n_per (0 only for m = 0)
     n_steps = max(1, int(round(config.t_end / dt)))
-    marks = np.unique(np.r_[0, np.arange(config.sample_every, n_steps + 1, config.sample_every), n_steps])
+    every = config.sample_every
+    marks = np.unique(np.r_[0, np.arange(every, n_steps + 1, every), n_steps])
     period = np.maximum(marks - 1, 0) // n_per
     phase = marks - period * n_per
     periods, column = np.unique(period, return_inverse=True)

@@ -70,7 +70,8 @@ def guarded_spectrum(
     spec2 = rabi_core.solve_spectrum(params, make_space(2 * n_max, 2))
     d_energy = abs(spec.ground_energy - spec2.ground_energy)
     d_amps = {
-        n: abs(abs(rabi_core.dressed_amplitude(spec, n)) - abs(rabi_core.dressed_amplitude(spec2, n)))
+        n: abs(abs(rabi_core.dressed_amplitude(spec, n))
+               - abs(rabi_core.dressed_amplitude(spec2, n)))
         for n in photons
     }
     if d_energy > GUARD_TOL or max(d_amps.values()) > GUARD_TOL:

@@ -28,7 +28,15 @@ propagate runs on one of two paths, chosen from its inputs:
   a real eigendecomposition, multiplied into the one-period propagator U(T),
   and the sampled states are read off psi(qT + r dt) = P_r U(T)^q psi(0),
   with P_r the first r factors of the period (Shirley, Phys. Rev. 138, B979
-  (1965)).
+  (1965)).  Two symmetries of the drive fold the period further.  It is even
+  in time and the Gauss nodes sum to 1, so factor n_per-1-r is the transpose
+  of factor r.  It changes sign over half a period, and
+  S = diag(+1 on g, e; -1 on f) commutes with the static part and
+  anticommutes with the drive, so for even n_per factor r + n_per/2 is
+  S (factor r) S.  Only the first quarter period of factors is ever built
+  (half a period when n_per is odd), and each sample is read off a column
+  stepped at most that far, forward from a segment start or backward, by
+  conjugation, from the next one.
 - step loop: every other input (rk4, midpoint-exponential, a step off the
   period grid, no drive frequency, a state with weight outside the sector)
   steps the full 3-level space, applying each exponential to the state by an
@@ -109,14 +117,23 @@ def default_config(params: ModelParams, t_end: float, **overrides) -> Propagatio
     )
 
 
+def max_dt(params: ModelParams) -> float:
+    """Largest step that resolves the drive: 2*pi/(50*drive_freq); inf without a drive."""
+    if params.drive_freq > 0 and params.drive_amp > 0:
+        return 2.0 * np.pi / (MIN_STEPS_PER_DRIVE_CYCLE * params.drive_freq)
+    return np.inf
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Sampled observables of a propagation run.
 
     p_ground is the overlap probability with the initial (dressed ground)
     state; parity_leak tracks the largest amplitude on the parity-forbidden
-    {|g,odd>, |e,even>} basis states, which only integrator error can populate
-    (exactly 0 on the sector-Floquet path, which never leaves the sector).
+    {|g,odd>, |e,even>} basis states.  The Hamiltonian builders give exact-zero
+    cross-sector blocks and the integrators keep exact zeros, so from a state
+    in the sector the leak reads exactly 0 on both paths: it catches a builder
+    that couples the sectors, not integrator error.
     """
 
     times: np.ndarray
@@ -231,13 +248,11 @@ def propagate(
         raise ValueError(f"initial state has dim {initial.shape}, expected ({space.dim},)")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-9:
         raise ValueError("initial state is not normalized")
-    if params.drive_freq > 0 and params.drive_amp > 0:
-        dt_max = 2.0 * np.pi / (MIN_STEPS_PER_DRIVE_CYCLE * params.drive_freq)
-        if config.dt > dt_max:
-            raise ValueError(
-                f"dt={config.dt:.4g} too coarse to resolve the drive "
-                f"(need dt <= {dt_max:.4g})"
-            )
+    dt_max = max_dt(params)
+    if config.dt > dt_max:
+        raise ValueError(
+            f"dt={config.dt:.4g} too coarse to resolve the drive (need dt <= {dt_max:.4g})"
+        )
 
     # g and e keep their two-level indices in the 3-level space, and the
     # drive |f><e| + |e><f| gives f the parity of e
@@ -274,17 +289,32 @@ def _propagate_sector(
     sector: np.ndarray,
     n_per: int,
 ) -> TimeSeries:
-    """magnus4 on the driven parity sector, one drive period at a time.
+    """magnus4 on the driven parity sector, one folded drive period at a time.
 
     The Rabi coupling and the drive keep {|g,even>, |e,odd>, |f,odd>} closed,
     so the state never leaves it and parity_leak is exactly 0 by construction.
-    Step k and step k + n_per use the same CF4 factors, each built as
-    q diag(exp(-i (dt/2) w)) q^T from a real eigh.  Pass 1 multiplies one
-    period of factors into U(T); psi(qT) = U(T)^q psi(0) is formed only for
-    the periods that hold a sample; pass 2 rebuilds the factors and steps
-    those states together through one period, reading each sample off its
-    column at its step.  Factors are rebuilt rather than stored: n_per of
-    them would dominate the memory at large n_max.
+    Step r of every period applies the same CF4 factor F(r) = E(b) E(a), each
+    half-step E = q diag(exp(-i (dt/2) w)) q^T from a real eigh, so E^T = E.
+    Let P_m = F(m-1)...F(0), so U(T) = P_n_per.  Two symmetries fold a period:
+
+    - time reversal: the Gauss nodes sum to 1 and the drive is even in t, so
+      F(n_per-1-r) = F(r)^T;
+    - half-period shift (n_per even): the drive changes sign over T/2, and
+      S = diag(+1 on g, e; -1 on f) commutes with the static part and
+      anticommutes with the drive, so F(r + n_per/2) = S F(r) S.
+
+    Take segments of L = n_per/2 steps and M = S (L = n_per and M = 1 when
+    n_per is odd).  Then P_L = M P_ceil(L/2)^T M P_floor(L/2), and, each P
+    being unitary, P_s = M conj(P_{L-s}) M P_L.  Pass 1 steps the identity
+    ceil(L/2) steps to form M P_L, which maps phi_i to phi_{i+1}, where phi_i
+    is M^i times the state at step iL (phi_2q = psi(qT)); it is applied only
+    up to the segments that hold a sample.  The state at step iL + s is
+    M^i P_s phi_i: pass 2 steps the column phi_i when s <= ceil(L/2), and the
+    column conj(phi_{i+1}) for L - s steps otherwise, reading the state as
+    M^(i+1) conj(column).  Both passes take at most ceil(L/2) steps, so each
+    builds each distinct factor once: n_per/2 eigendecompositions per pass
+    for even n_per.  Factors are rebuilt rather than stored: n_per/2 of them
+    would dominate the memory at large n_max.
     """
     def sector_block(m: np.ndarray) -> np.ndarray:
         if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
@@ -296,6 +326,18 @@ def _propagate_sector(
     v_s = sector_block(drive_operator(space))
     dt = config.dt
     amp, freq = params.drive_amp, params.drive_freq
+    dim = h_s.shape[0]
+
+    if n_per % 2:
+        n_seg, m_sign = n_per, np.ones(dim)
+    else:
+        # S = diag(+1 on g, e; -1 on f) on the sector; S X S = flip * X
+        s_sign = np.where(np.flatnonzero(sector) < 2 * space.n_photon, 1.0, -1.0)
+        flip = s_sign[:, None] * s_sign
+        if np.any(h_s[flip < 0]) or np.any(v_s[flip > 0]):
+            raise ValueError("the f level must couple to g and e through the drive alone")
+        n_seg, m_sign = n_per // 2, s_sign
+    n_mid = (n_seg + 1) // 2
 
     def step(x: np.ndarray, r: int) -> np.ndarray:
         """Apply CF4 step r of the period to x, the float view of complex columns."""
@@ -304,31 +346,40 @@ def _propagate_sector(
         c2 = amp * np.cos(freq * (t + _GAUSS_C2 * dt))
         for gamma in (2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2), 2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)):
             w, q = np.linalg.eigh(h_s + gamma * v_s)
-            y = (q.T @ x).view(complex) * np.exp(-0.5j * dt * w)[:, None]
+            y = (q.T @ x).view(complex)
+            y *= np.exp(-0.5j * dt * w)[:, None]
             x = q @ y.view(float)
         return x
 
-    # sample at step m = period * n_per + phase with phase in 1..n_per (0 only for m = 0)
+    # sample at step m = seg * n_seg + s with s in 1..n_seg (0 only for m = 0);
+    # the column stepped `at` steps is phi_base, conjugated when `back`
     n_steps = max(1, int(round(config.t_end / dt)))
     every = config.sample_every
     marks = np.unique(np.r_[0, np.arange(every, n_steps + 1, every), n_steps])
-    period = np.maximum(marks - 1, 0) // n_per
-    phase = marks - period * n_per
-    periods, column = np.unique(period, return_inverse=True)
+    seg = np.maximum(marks - 1, 0) // n_seg
+    s = marks - seg * n_seg
+    back = s > n_mid
+    base = seg + back
+    at = np.where(back, n_seg - s, s)
+    keys, column = np.unique(2 * base + back, return_inverse=True)
 
-    dim = h_s.shape[0]
+    # pass 1: P_ceil(L/2) and P_floor(L/2), then M P_L = P_ceil^T M P_floor
+    p_lo = p = np.eye(dim, dtype=complex).view(float)
+    for r in range(n_mid):
+        p_lo, p = p, step(p, r)
+    if n_seg % 2 == 0:
+        p_lo = p
+    seg_map = (p.view(complex).T * m_sign) @ p_lo.view(complex)
+
     psi0 = initial[sector]
-    starts = np.empty((dim, len(periods)), dtype=complex)
-    if periods[-1] > 0:
-        u = np.eye(dim, dtype=complex).view(float)
-        for r in range(n_per):
-            u = step(u, r)
-        u = u.view(complex)
-    psi, q = psi0, 0
-    for j, target in enumerate(periods):
-        for _ in range(target - q):
-            psi = u @ psi
-        starts[:, j], q = psi, target
+    # the start columns as the float view that pass 2 steps; x is their only reference
+    x = np.empty((dim, 2 * len(keys)))
+    phi, i = psi0, 0
+    for j, key in enumerate(keys):
+        for _ in range(key // 2 - i):
+            phi = seg_map @ phi
+        i = key // 2
+        x.view(complex)[:, j] = phi.conj() if key % 2 else phi
 
     pos = np.cumsum(sector) - 1
     i_f1 = pos[space.index("f", 1)]
@@ -336,13 +387,14 @@ def _propagate_sector(
     n = len(marks)
     pf1, pf3, pg, norms = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
     kept = np.empty((n, dim), dtype=complex) if keep_states else None
-    x = starts.view(float)
-    for r in range(int(phase.max()) + 1):
+    for r in range(int(at.max()) + 1):
         if r:
             x = step(x, r - 1)
-        hit = np.flatnonzero(phase == r)
+        hit = np.flatnonzero(at == r)
         if hit.size:
-            states = x.view(complex)[:, column[hit]]
+            cols = x.view(complex)[:, column[hit]]
+            states = np.where(back[hit], cols.conj(), cols)
+            states *= np.where(base[hit] % 2, m_sign[:, None], 1.0)
             pf1[hit] = np.abs(states[i_f1]) ** 2
             if i_f3 is not None:
                 pf3[hit] = np.abs(states[i_f3]) ** 2

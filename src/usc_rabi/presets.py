@@ -105,7 +105,7 @@ def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dy
             "the effective transfer coupling vanishes here (no finite Rabi "
             "period); set t_end explicitly"
         )
-    return dynamics.default_config(
+    prop = dynamics.default_config(
         params,
         t_end=horizon,
         dt=cfg.dt,
@@ -113,6 +113,11 @@ def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dy
         norm_tol=cfg.norm_tol,
         method=cfg.method,
     )
+    # the same bound propagate enforces, reported as a config error
+    dt_max = dynamics.max_dt(params)
+    if prop.dt > dt_max:
+        raise ConfigError(f"dt={prop.dt:.4g} is too coarse to resolve the drive (need dt <= {dt_max:.4g})")
+    return prop
 
 
 def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usc_rabi.cli import main
 from usc_rabi.config import (
@@ -265,6 +267,17 @@ class TestExitCodes:
         assert main(["resonance-scan", "--config", str(cfg),
                      "--out", str(tmp_path / "n2.csv")]) == 3
 
+    @pytest.mark.parametrize("preset, dt", [
+        ("two-state-compare", 0.5), ("fig3-evolve", 0.5),
+        ("resonance-scan", 0.1), ("convergence-report", 0.1),
+    ])
+    def test_too_coarse_dt_is_config_error(self, tmp_path, preset, dt):
+        # the default drives need dt <= 2*pi/(50*omega_p), about 0.027
+        cfg = _write(tmp_path, "dt.cfg", f"n_max = 8\nt_end = 5\ndt = {dt}\n")
+        out = str(tmp_path / "dt.csv")
+        assert main([preset, "--config", str(cfg), "--out", out]) == 3
+        assert main([preset, "--nmax", "8", "--dt", str(dt), "--out", out]) == 3
+
     def test_refinement_guard_failure(self, tmp_path):
         # the midpoint rule at the default step is not pointwise-converged
         # on a window edge; the report must catch that and exit 2
@@ -280,3 +293,29 @@ class TestExitCodes:
         )
         with pytest.raises(ConvergenceGuardError, match="lambda=0.8"):
             run_preset(cfg)
+
+
+class TestConfigExtremes:
+    """Every config the parser accepts runs or exits with a documented code."""
+
+    # lambda = 0.1 keeps the truncation guard passing down to n_max = 4, so
+    # most draws with a resolvable dt reach the propagation
+    @settings(max_examples=30, deadline=None)
+    @given(
+        preset=st.sampled_from(
+            ["fig3-evolve", "resonance-scan", "convergence-report", "two-state-compare"]),
+        dt=st.one_of(st.just(0.0), st.floats(2e-3, 1.0), st.floats(2e-3, 0.03)),
+        omega=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+        omega_p=st.one_of(st.just(0.0), st.floats(1e-3, 30.0), st.floats(1e-3, 6.0)),
+        sample_every=st.integers(0, 10_000),
+        n_max=st.integers(4, 8),
+    )
+    def test_exit_code_is_documented(self, tmp_path_factory, preset, dt, omega, omega_p,
+                                     sample_every, n_max):
+        tmp = tmp_path_factory.mktemp("extreme")
+        cfg = _write(
+            tmp, "x.cfg",
+            f"lambda = 0.1\nn_max = {n_max}\nt_end = 5\ndt = {dt!r}\nOmega = {omega!r}\n"
+            f"omega_p = {omega_p!r}\nsample_every = {sample_every}\n",
+        )
+        assert main([preset, "--config", str(cfg), "--out", str(tmp / "x.csv")]) in (0, 2, 3)

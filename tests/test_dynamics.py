@@ -285,15 +285,21 @@ class TestSectorFloquet:
         (12, 200, 7, 4.0, 0.4, False),    # on a period multiple; 7 does not divide 200
         (20, 400, 7, 3.51, 0.2, False),
         (20, 200, 1, 2.2, 0.2, True),
-        (12, 400, 1, 0.63, 0.2, False),   # t_end < T: no one-period propagator
+        (12, 400, 1, 0.63, 0.2, False),   # t_end < T: every sample in the first period
         (12, 200, 7, 3.3, 0.0, True),     # drive off, drive_freq > 0
+        (12, 201, 3, 2.6, 0.2, True),     # odd n_per: time reversal alone folds the period
+        (20, 202, 5, 3.3, 0.2, False),    # half period of 101 steps, an odd segment
+        (20, 50, 1, 4.4, 0.4, True),      # the coarsest grid propagate accepts
+        (12, 200, 1, 0.2, 0.2, True),     # t_end < T/4: every sample steps forward
     ])
     def test_matches_step_loop(self, setups, monkeypatch, n_max, n_per, every, periods, amp, keep):
         base, by_n = setups
         initial, omega_p = by_n[n_max]
         params = _driven(base, amp, omega_p)
         period = 2.0 * np.pi / omega_p
-        cfg = PropagationConfig(t_end=periods * period, dt=period / n_per, sample_every=every)
+        # the form of max_dt, so n_per = 50 is not rejected by a last-bit rounding
+        cfg = PropagationConfig(t_end=periods * period, dt=2.0 * np.pi / (n_per * omega_p),
+                                sample_every=every)
         space = make_space(n_max, 3)
         oracle = dynamics._step_loop(params, space, cfg, initial, keep_states=keep)
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
@@ -307,6 +313,58 @@ class TestSectorFloquet:
         assert np.all(fast.parity_leak == 0.0)
         if keep:
             assert np.all(fast.states[:, ~_sector_mask(space)] == 0.0)
+
+    @pytest.mark.parametrize("n_per", [200, 201])
+    def test_matches_step_loop_from_f_weighted_state(self, small_setup, monkeypatch, n_per):
+        # S = diag(+1 on g, e; -1 on f) and the conjugation of the mirrored
+        # samples act on the f rows and the phases, which p_ground and the
+        # states see only when the initial state has f weight and complex phases
+        base, _, _, omega_p = small_setup
+        params = _driven(base, 0.3, omega_p)
+        space = make_space(N_SMALL, 3)
+        mask = _sector_mask(space)
+        rng = np.random.default_rng(7)
+        initial = np.zeros(space.dim, dtype=complex)
+        initial[mask] = rng.normal(size=mask.sum()) + 1j * rng.normal(size=mask.sum())
+        initial /= np.linalg.norm(initial)
+        period = 2.0 * np.pi / omega_p
+        cfg = PropagationConfig(t_end=2.7 * period, dt=period / n_per, sample_every=3)
+        oracle = _fields(dynamics._step_loop(params, space, cfg, initial, keep_states=True))
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        got = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        for name in oracle:
+            assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
+
+    def test_folded_period_builds_each_factor_once_per_pass(self, small_setup, monkeypatch):
+        # 2 * n_per half-step factors per period; the two symmetries leave
+        # n_per / 2 distinct ones, and each of the two passes builds them once
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        period = 2.0 * np.pi / omega_p
+        cfg = PropagationConfig(t_end=3.3 * period, dt=2.0 * np.pi / (200 * omega_p))
+        eigh, calls = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        propagate(params, make_space(N_SMALL, 3), cfg, initial)
+        assert 0 < len(calls) <= 200
+
+    def test_rejects_hamiltonian_without_half_period_symmetry(self, small_setup, monkeypatch):
+        # e-f coupling inside the sector keeps it closed but breaks S H S = H,
+        # on which the half-period fold rests
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        space = make_space(N_SMALL, 3)
+        h = dynamics.static_hamiltonian(params, space)
+        i, j = space.index("e", 1), space.index("f", 1)
+        h[i, j] = h[j, i] = 1e-3
+        monkeypatch.setattr(dynamics, "static_hamiltonian", lambda *args: h)
+        with pytest.raises(ValueError, match="drive alone"):
+            propagate(params, space, default_config(params, t_end=1.0), initial)
 
     def test_repeatable(self, small_setup):
         base, _, initial, omega_p = small_setup

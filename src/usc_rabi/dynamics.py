@@ -117,11 +117,18 @@ def default_config(params: ModelParams, t_end: float, **overrides) -> Propagatio
     )
 
 
-def max_dt(params: ModelParams) -> float:
-    """Largest step that resolves the drive: 2*pi/(50*drive_freq); inf without a drive."""
+def check_dt(params: ModelParams, dt: float) -> None:
+    """Raise ValueError unless dt resolves the drive: dt <= 2*pi/(50*drive_freq).
+
+    Any dt passes without a drive.  The bound carries a relative slack of
+    PERIOD_GRID_RTOL, so the coarsest grid T/50 passes however T is rounded.
+    """
     if params.drive_freq > 0 and params.drive_amp > 0:
-        return 2.0 * np.pi / (MIN_STEPS_PER_DRIVE_CYCLE * params.drive_freq)
-    return np.inf
+        dt_max = 2.0 * np.pi / (MIN_STEPS_PER_DRIVE_CYCLE * params.drive_freq)
+        if dt > dt_max * (1.0 + PERIOD_GRID_RTOL):
+            raise ValueError(
+                f"dt={dt:.4g} too coarse to resolve the drive (need dt <= {dt_max:.4g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -248,11 +255,7 @@ def propagate(
         raise ValueError(f"initial state has dim {initial.shape}, expected ({space.dim},)")
     if abs(np.linalg.norm(initial) - 1.0) > 1e-9:
         raise ValueError("initial state is not normalized")
-    dt_max = max_dt(params)
-    if config.dt > dt_max:
-        raise ValueError(
-            f"dt={config.dt:.4g} too coarse to resolve the drive (need dt <= {dt_max:.4g})"
-        )
+    check_dt(params, config.dt)
 
     # g and e keep their two-level indices in the 3-level space, and the
     # drive |f><e| + |e><f| gives f the parity of e

@@ -2,7 +2,9 @@
 
 Basis ordering: the flattened index of |level, n> is level_ordinal*(n_max+1) + n
 with level ordinals g=0, e=1, f=2.  All operators are dense complex matrices and
-all energies are expressed in units of the cavity frequency (hbar = 1).
+all energies are expressed in units of the cavity frequency (hbar = 1).  eigh
+keeps real input real and hands a real tridiagonal matrix to LAPACK's
+tridiagonal solver.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal as _scipy_eigh_tridiagonal
 from scipy.linalg import expm as _scipy_expm
 
 ATOM_LEVELS = ("g", "e", "f")
@@ -122,9 +125,13 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense Hermitian eigendecomposition, the exact-diagonalization oracle.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
-    Rejects non-Hermitian input.
+    Rejects non-Hermitian input.  Real input stays real (orthogonal
+    eigenvectors); a real matrix with more than 2 rows and no entry above the
+    first superdiagonal goes to the tridiagonal solver
+    (scipy.linalg.eigh_tridiagonal), every other input to np.linalg.eigh.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     require_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    return w, v
+    if not np.iscomplexobj(m) and m.shape[0] > 2 and not np.any(np.triu(m, 2)):
+        return _scipy_eigh_tridiagonal(np.diag(m), np.diag(m, 1))
+    return np.linalg.eigh(m)

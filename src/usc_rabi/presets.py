@@ -114,9 +114,10 @@ def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dy
         method=cfg.method,
     )
     # the same bound propagate enforces, reported as a config error
-    dt_max = dynamics.max_dt(params)
-    if prop.dt > dt_max:
-        raise ConfigError(f"dt={prop.dt:.4g} is too coarse to resolve the drive (need dt <= {dt_max:.4g})")
+    try:
+        dynamics.check_dt(params, prop.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return prop
 
 

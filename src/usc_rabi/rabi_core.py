@@ -8,6 +8,15 @@ The Rabi Hamiltonian kept here includes the counter-rotating interaction terms,
 so the interacting ground state carries virtual photons.  Exact diagonalization
 of this matrix is the oracle every approximation in the package is judged
 against.
+
+H conserves the parity (|g><g| - |e><e|) (-1)^(a^dag a), and the coupling moves
+one photon while flipping the atom, so each parity sector is a chain: +1 holds
+|g,0>, |e,1>, |g,2>, ... and -1 holds |e,0>, |g,1>, |e,2>, ...  In chain order
+each sector is a real symmetric tridiagonal matrix with diagonal
+n*omega_c -+ omega0/2 (g: -, e: +) and off-diagonal coupling*sqrt(n) between
+sites n-1 and n (Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107,
+100401 (2011)).  solve_spectrum diagonalizes these chains; build_h_rabi is the
+full-space matrix the dynamics and the polaron frame work with.
 """
 
 from __future__ import annotations
@@ -113,26 +122,38 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * (np.conj(pivot) / np.abs(pivot))
 
 
-def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResult:
-    """Exact diagonalization of the Rabi Hamiltonian, one parity sector at a time.
+def _sector_chain(
+    params: ModelParams, space: SpaceDescriptor, parity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parity sector `parity` (+1 or -1) as a real tridiagonal chain.
 
-    The Hamiltonian is block diagonal in the two parity sectors, so each block
-    is diagonalized on its own and every eigenvector is a parity eigenstate by
-    construction, also where levels of the two sectors cross.  Raises if the
-    cross-sector block of the Hamiltonian is not exactly zero.
+    Returns the chain matrix and, for each site n = 0..n_max, the full-space
+    row of its ket: |g,n> where n's parity matches `parity`, else |e,n>.
     """
-    h = build_h_rabi(params, space)
-    even = np.diag(parity_matrix(space)) > 0
-    if np.any(h[np.ix_(even, ~even)]):
-        raise ValueError("the Hamiltonian couples the two parity sectors")
+    n = np.arange(space.n_photon)
+    excited = (n % 2 == 0) != (parity > 0)
+    rows = np.where(excited, space.index("e", 0), space.index("g", 0)) + n
+    diag = params.omega_c * n + np.where(excited, 0.5, -0.5) * params.omega0
+    off = params.coupling * np.sqrt(n[1:])
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rows
+
+
+def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResult:
+    """Exact diagonalization of the Rabi Hamiltonian, one parity chain at a time.
+
+    Each parity sector is diagonalized as its real tridiagonal chain (see the
+    module docstring) and the chain eigenvectors are scattered into the
+    full-space rows of the chain sites, so every eigenvector is a parity
+    eigenstate by construction, also where levels of the two sectors cross.
+    """
+    if space.atom_levels != 2:
+        raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
     w = np.empty(space.dim)
     v = np.zeros((space.dim, space.dim), dtype=complex)
-    col = 0
-    for sector in (even, ~even):
-        ws, vs = hilbert.eigh(h[np.ix_(sector, sector)])
-        w[col : col + len(ws)] = ws
-        v[sector, col : col + len(ws)] = vs
-        col += len(ws)
+    for k, parity in enumerate((1, -1)):
+        chain, rows = _sector_chain(params, space, parity)
+        cols = slice(k * space.n_photon, (k + 1) * space.n_photon)
+        w[cols], v[rows, cols] = hilbert.eigh(chain)
     order = np.argsort(w, kind="stable")
     w, v = w[order], _fix_phases(v[:, order])
     spectrum = SpectrumResult(

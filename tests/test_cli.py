@@ -278,6 +278,16 @@ class TestExitCodes:
         assert main([preset, "--config", str(cfg), "--out", out]) == 3
         assert main([preset, "--nmax", "8", "--dt", str(dt), "--out", out]) == 3
 
+    @pytest.mark.parametrize("preset", ["two-state-compare", "fig3-evolve", "convergence-report"])
+    def test_coarsest_dt_runs_however_rounded(self, tmp_path, preset):
+        # (2*pi/3.1)/50 is one ulp above 2*pi/(50*3.1); both mean T/50
+        cfg = _write(tmp_path, "dt.cfg", "n_max = 8\nt_end = 5\nomega_p = 3.1\n")
+        out = str(tmp_path / "dt.csv")
+        dt = (2.0 * np.pi / 3.1) / 50
+        assert main([preset, "--config", str(cfg), "--out", out, "--dt", repr(dt)]) == 0
+        too_coarse = 1.01 * 2.0 * np.pi / (50 * 3.1)
+        assert main([preset, "--config", str(cfg), "--out", out, "--dt", repr(too_coarse)]) == 3
+
     def test_refinement_guard_failure(self, tmp_path):
         # the midpoint rule at the default step is not pointwise-converged
         # on a window edge; the report must catch that and exit 2

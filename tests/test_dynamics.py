@@ -236,6 +236,18 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(params, space3, coarse, initial)
 
+    def test_coarsest_grid_passes_however_rounded(self, small_setup):
+        base, _, initial, _ = small_setup
+        params = _driven(base, 0.2, 3.1)
+        space3 = make_space(N_SMALL, 3)
+        bound = 2.0 * np.pi / (50 * 3.1)
+        dt = (2.0 * np.pi / 3.1) / 50
+        assert dt > bound  # one ulp above the bound as written
+        series = propagate(params, space3, PropagationConfig(t_end=1.0, dt=dt), initial)
+        assert np.max(np.abs(series.norm - 1.0)) < 1e-9
+        with pytest.raises(ValueError, match="too coarse"):
+            propagate(params, space3, PropagationConfig(t_end=1.0, dt=1.01 * bound), initial)
+
     def test_keep_states(self, small_setup):
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
@@ -297,9 +309,7 @@ class TestSectorFloquet:
         initial, omega_p = by_n[n_max]
         params = _driven(base, amp, omega_p)
         period = 2.0 * np.pi / omega_p
-        # the form of max_dt, so n_per = 50 is not rejected by a last-bit rounding
-        cfg = PropagationConfig(t_end=periods * period, dt=2.0 * np.pi / (n_per * omega_p),
-                                sample_every=every)
+        cfg = PropagationConfig(t_end=periods * period, dt=period / n_per, sample_every=every)
         space = make_space(n_max, 3)
         oracle = dynamics._step_loop(params, space, cfg, initial, keep_states=keep)
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)

@@ -168,3 +168,39 @@ class TestEigh:
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
         recon = v @ np.diag(w) @ v.conj().T
         assert np.max(np.abs(recon - m)) < 1e-9 * max(1.0, np.max(np.abs(m)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 40))
+    def test_real_tridiagonal_reconstruction(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        off = rng.normal(size=dim - 1)
+        m = np.diag(rng.normal(size=dim)) + np.diag(off, 1) + np.diag(off, -1)
+        w, v = eigh(m)
+        assert not np.iscomplexobj(v)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(v.T @ v - np.eye(dim))) < 1e-10
+        recon = v @ np.diag(w) @ v.T
+        assert np.max(np.abs(recon - m)) < 1e-9 * max(1.0, np.max(np.abs(m)))
+
+    def test_real_tridiagonal_uses_tridiagonal_solver(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("dense solver called on a tridiagonal matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        m = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
+        w, _ = eigh(m)
+        assert np.allclose(w, np.linalg.eigvalsh(m.astype(complex)))
+
+    def test_dense_and_complex_input_match_numpy(self):
+        rng = np.random.default_rng(11)
+        h = random_hermitian(rng, 9)
+        for m in (h.real, h):
+            w, v = eigh(m)
+            want_w, want_v = np.linalg.eigh(m)
+            assert v.dtype == want_v.dtype
+            assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+    def test_rejects_non_symmetric_tridiagonal(self):
+        m = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.5, 0.5, 0.5], 1)
+        with pytest.raises(ValueError):
+            eigh(m)

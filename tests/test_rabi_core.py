@@ -182,13 +182,30 @@ class TestSectorSolve:
         residuals = np.linalg.norm(h @ v - v * spec.eigenvalues, axis=0)
         assert np.max(residuals) <= 1e-12 * np.linalg.norm(h, 2)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.3, np.sqrt(3.0) / 4.0, 0.8, 1.5])
-    def test_matches_full_space_oracle(self, lam):
-        params = ModelParams(omega0=1.0, coupling=lam)
-        space = make_space(40, 2)
-        oracle = np.linalg.eigvalsh(build_h_rabi(params, space))
-        w = solve_spectrum(params, space).eigenvalues
+    @pytest.mark.parametrize("n_max, omega0, lam", [
+        *(pytest.param(40, 1.0, lam, id=str(lam))
+          for lam in (0.0, 0.05, 0.3, np.sqrt(3.0) / 4.0, 0.8, 1.5)),
+        *((n_max, omega0, lam) for n_max in (1, 2, 3, 80) for omega0 in (0.3, 1.0, 2.7)
+          for lam in (0.0, 0.3, 1.5)),
+        *((40, omega0, lam) for omega0 in (0.3, 2.7) for lam in (0.0, 0.3, 1.5)),
+    ])
+    def test_matches_full_space_oracle(self, n_max, omega0, lam):
+        params = ModelParams(omega0=omega0, coupling=lam)
+        space = make_space(n_max, 2)
+        h = build_h_rabi(params, space)
+        oracle, oracle_v = np.linalg.eigh(h)
+        spec = solve_spectrum(params, space)
+        w, v = spec.eigenvalues, spec.eigenvectors
         assert np.all(np.abs(w - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(space.dim))) < 1e-12
+        residuals = np.linalg.norm(h @ v - v * w, axis=0)
+        assert np.max(residuals) <= 1e-12 * np.linalg.norm(h, 2)
+        # at lambda = 0, |g,2> and |e,1> are degenerate within the +1 sector
+        assert np.all(np.abs(spec.parities) == 1.0)
+        for n in (1, 3):
+            if n <= n_max:
+                want = abs(oracle_v[space.index("e", n), 0])
+                assert abs(dressed_amplitude(spec, n)) == pytest.approx(want, abs=1e-12)
 
     def test_vectorized_helpers_match_loop_reference(self, spectrum):
         space = spectrum.space
@@ -207,13 +224,32 @@ class TestSectorSolve:
         weights = np.sum(np.abs(spectrum.eigenvectors[even]) ** 2, axis=0)
         assert np.array_equal(parity_labels(spectrum), np.where(weights >= 0.5, 1.0, -1.0))
 
-    def test_cross_sector_coupling_rejected(self, monkeypatch, base_params, space2):
-        h = build_h_rabi(base_params, space2)
-        g0, g1 = space2.index("g", 0), space2.index("g", 1)
-        h[g0, g1] = h[g1, g0] = 1e-3
-        monkeypatch.setattr(rabi_core, "build_h_rabi", lambda params, space: h)
-        with pytest.raises(ValueError, match="parity sectors"):
-            solve_spectrum(base_params, space2)
+    @pytest.mark.parametrize("n_max", [1, 2, 40])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.5])
+    def test_chains_are_the_parity_blocks(self, lam, n_max):
+        params = ModelParams(omega0=1.0, coupling=lam)
+        space = make_space(n_max, 2)
+        h = build_h_rabi(params, space)
+        signs = np.diag(parity_matrix(space))
+        assert not np.any(h[np.ix_(signs > 0, signs < 0)])
+        for parity in (1, -1):
+            chain, rows = rabi_core._sector_chain(params, space, parity)
+            assert sorted(rows) == list(np.flatnonzero(signs == parity))
+            block = h[np.ix_(rows, rows)]
+            assert not np.any(block.imag)
+            assert np.all(np.abs(chain - block.real) <= 4 * np.spacing(np.abs(block.real)))
+
+    def test_reads_only_the_chains(self, monkeypatch, base_params, space2, spectrum):
+        def refuse(params, space):
+            raise AssertionError("solve_spectrum built the full-space Hamiltonian")
+
+        monkeypatch.setattr(rabi_core, "build_h_rabi", refuse)
+        spec = solve_spectrum(base_params, space2)
+        assert np.array_equal(spec.eigenvalues, spectrum.eigenvalues)
+
+    def test_rejects_three_level_space(self):
+        with pytest.raises(ValueError):
+            solve_spectrum(ModelParams(omega0=1.0, coupling=0.2), make_space(10, 3))
 
 
 class TestSpectrumConvergence:

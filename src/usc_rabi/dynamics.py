@@ -34,9 +34,13 @@ propagate runs on one of two paths, chosen from its inputs:
   S = diag(+1 on g, e; -1 on f) commutes with the static part and
   anticommutes with the drive, so for even n_per factor r + n_per/2 is
   S (factor r) S.  Only the first quarter period of factors is ever built
-  (half a period when n_per is odd), and each sample is read off a column
-  stepped at most that far, forward from a segment start or backward, by
-  conjugation, from the next one.
+  (half a period when n_per is odd), in one pass that steps the identity
+  through it.  Each sample is P_r applied to a segment start, forward, or
+  backward by conjugation from the next one, with r at most that quarter
+  period, so it is read off a few probe rows of P_r recorded by the pass:
+  at the default T/200 a propagation makes 100 eigendecompositions.  The
+  norm reported is that of the segment start, and the drift guard adds the
+  recorded unitarity defect of P_r, so it bounds the true drift from above.
 - step loop: every other input (rk4, midpoint-exponential, a step off the
   period grid, no drive frequency, a state with weight outside the sector)
   steps the full 3-level space, applying each exponential to the state by an
@@ -140,7 +144,9 @@ class TimeSeries:
     {|g,odd>, |e,even>} basis states.  The Hamiltonian builders give exact-zero
     cross-sector blocks and the integrators keep exact zeros, so from a state
     in the sector the leak reads exactly 0 on both paths: it catches a builder
-    that couples the sectors, not integrator error.
+    that couples the sectors, not integrator error.  norm is the state norm
+    on the step loop; on the sector path it is the norm of the sample's
+    segment-start column (see _propagate_sector).
     """
 
     times: np.ndarray
@@ -276,9 +282,13 @@ def _steps_per_period(params: ModelParams, dt: float) -> int:
     return n_per if abs(n_per * dt - period) <= PERIOD_GRID_RTOL * period else 0
 
 
-def _norm_drift(nrm: float, t: float, config: PropagationConfig) -> NormDriftError:
+def _norm_drift(
+    nrm: float, t: float, config: PropagationConfig, slack: float = 0.0
+) -> NormDriftError:
+    """slack bounds how far the true norm may sit from the reported nrm."""
+    within = f" +- {slack:.1e}" if slack else ""
     return NormDriftError(
-        f"norm drifted to {nrm:.12f} at t={t:.4f} "
+        f"norm drifted to {nrm:.12f}{within} at t={t:.4f} "
         f"(tolerance {config.norm_tol:g}, method {config.method})"
     )
 
@@ -308,16 +318,26 @@ def _propagate_sector(
 
     Take segments of L = n_per/2 steps and M = S (L = n_per and M = 1 when
     n_per is odd).  Then P_L = M P_ceil(L/2)^T M P_floor(L/2), and, each P
-    being unitary, P_s = M conj(P_{L-s}) M P_L.  Pass 1 steps the identity
+    being unitary, P_s = M conj(P_{L-s}) M P_L.  One pass steps the identity
     ceil(L/2) steps to form M P_L, which maps phi_i to phi_{i+1}, where phi_i
     is M^i times the state at step iL (phi_2q = psi(qT)); it is applied only
     up to the segments that hold a sample.  The state at step iL + s is
-    M^i P_s phi_i: pass 2 steps the column phi_i when s <= ceil(L/2), and the
-    column conj(phi_{i+1}) for L - s steps otherwise, reading the state as
-    M^(i+1) conj(column).  Both passes take at most ceil(L/2) steps, so each
-    builds each distinct factor once: n_per/2 eigendecompositions per pass
-    for even n_per.  Factors are rebuilt rather than stored: n_per/2 of them
-    would dominate the memory at large n_max.
+    M^i P_s phi_i: forward, P_s applied to the start column c = phi_i when
+    s <= ceil(L/2), and otherwise M^(i+1) conj(P_{L-s} c) with c =
+    conj(phi_{i+1}).  So every sample is P_r c for some r <= ceil(L/2), and
+    what it reports is linear in P_r c: the pass records, at each r a sample
+    needs, the probe rows W P_r, with W the rows e_f1^T, e_f3^T, psi0^H,
+    psi0^H S, psi0^T and psi0^T S (the transposed rows serve the backward
+    samples, read by conjugation).  Each sample is then read off as one row
+    product with its start column, grouped by r.  The pass builds each
+    distinct factor once: n_per/2 eigendecompositions for even n_per.
+
+    The norm reported is ||c||.  The pass also records the unitarity defect
+    d_r = ||P_r^H P_r - I||_F at each needed r, which bounds the 2-norm, so
+    | ||P_r c|| - ||c|| | <= d_r ||c||; the drift guard fires on
+    |1 - ||c||| + d_r ||c|| > norm_tol, an upper bound on the true drift.
+    With keep_states the identity is appended to W, so the states are read
+    off the same products.
     """
     def sector_block(m: np.ndarray) -> np.ndarray:
         if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
@@ -355,7 +375,7 @@ def _propagate_sector(
         return x
 
     # sample at step m = seg * n_seg + s with s in 1..n_seg (0 only for m = 0);
-    # the column stepped `at` steps is phi_base, conjugated when `back`
+    # it is P_at applied to the start column of phi_base, conjugated when `back`
     n_steps = max(1, int(round(config.t_end / dt)))
     every = config.sample_every
     marks = np.unique(np.r_[0, np.arange(every, n_steps + 1, every), n_steps])
@@ -366,50 +386,66 @@ def _propagate_sector(
     at = np.where(back, n_seg - s, s)
     keys, column = np.unique(2 * base + back, return_inverse=True)
 
-    # pass 1: P_ceil(L/2) and P_floor(L/2), then M P_L = P_ceil^T M P_floor
-    p_lo = p = np.eye(dim, dtype=complex).view(float)
-    for r in range(n_mid):
-        p_lo, p = p, step(p, r)
+    psi0 = initial[sector]
+    pos = np.cumsum(sector) - 1
+    probe = np.zeros((6, dim), dtype=complex)
+    probe[0, pos[space.index("f", 1)]] = 1.0
+    if space.n_max >= 3:
+        probe[1, pos[space.index("f", 3)]] = 1.0
+    probe[2:] = psi0.conj(), psi0.conj() * m_sign, psi0, psi0 * m_sign
+    if keep_states:
+        probe = np.vstack([probe, np.eye(dim)])
+
+    # the pass: P_0 ... P_ceil(L/2), recording the probe rows and the defect at
+    # every r a sample needs; then M P_L = P_ceil^T M P_floor
+    needed = np.zeros(n_mid + 1, dtype=bool)
+    needed[at] = True
+    rows = np.empty((n_mid + 1,) + probe.shape, dtype=complex)
+    defect = np.zeros(n_mid + 1)
+    eye = np.eye(dim)
+    p_lo = p = eye.astype(complex).view(float)
+    for r in range(n_mid + 1):
+        if r:
+            p_lo, p = p, step(p, r - 1)
+        if needed[r]:
+            pr = p.view(complex)
+            rows[r] = probe @ pr
+            defect[r] = np.linalg.norm(pr.conj().T @ pr - eye)
     if n_seg % 2 == 0:
         p_lo = p
     seg_map = (p.view(complex).T * m_sign) @ p_lo.view(complex)
 
-    psi0 = initial[sector]
-    # the start columns as the float view that pass 2 steps; x is their only reference
-    x = np.empty((dim, 2 * len(keys)))
+    cols = np.empty((dim, len(keys)), dtype=complex)
     phi, i = psi0, 0
     for j, key in enumerate(keys):
         for _ in range(key // 2 - i):
             phi = seg_map @ phi
         i = key // 2
-        x.view(complex)[:, j] = phi.conj() if key % 2 else phi
+        cols[:, j] = phi.conj() if key % 2 else phi
 
-    pos = np.cumsum(sector) - 1
-    i_f1 = pos[space.index("f", 1)]
-    i_f3 = pos[space.index("f", 3)] if space.n_max >= 3 else None
     n = len(marks)
-    pf1, pf3, pg, norms = np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
+    pf1, pf3, pg = np.empty(n), np.empty(n), np.empty(n)
+    # probe row of p_ground: psi0^H or psi0^T, times S for odd base
+    ground_row = 2 + 2 * back + base % 2
     kept = np.empty((n, dim), dtype=complex) if keep_states else None
-    for r in range(int(at.max()) + 1):
-        if r:
-            x = step(x, r - 1)
+    for r in np.flatnonzero(needed):
         hit = np.flatnonzero(at == r)
-        if hit.size:
-            cols = x.view(complex)[:, column[hit]]
-            states = np.where(back[hit], cols.conj(), cols)
+        v = rows[r] @ cols[:, column[hit]]
+        pf1[hit] = np.abs(v[0]) ** 2
+        pf3[hit] = np.abs(v[1]) ** 2
+        pg[hit] = np.abs(v[ground_row[hit], np.arange(hit.size)]) ** 2
+        if kept is not None:
+            states = np.where(back[hit], v[6:].conj(), v[6:])
             states *= np.where(base[hit] % 2, m_sign[:, None], 1.0)
-            pf1[hit] = np.abs(states[i_f1]) ** 2
-            if i_f3 is not None:
-                pf3[hit] = np.abs(states[i_f3]) ** 2
-            pg[hit] = np.abs(psi0.conj() @ states) ** 2
-            norms[hit] = np.linalg.norm(states, axis=0)
-            if kept is not None:
-                kept[hit] = states.T
+            kept[hit] = states.T
 
     times = marks * dt
-    drift = np.flatnonzero(np.abs(norms - 1.0) > config.norm_tol)
+    norms = np.linalg.norm(cols, axis=0)[column]
+    slack = defect[at] * norms
+    drift = np.flatnonzero(np.abs(norms - 1.0) + slack > config.norm_tol)
     if drift.size:
-        raise _norm_drift(norms[drift[0]], times[drift[0]], config)
+        k = drift[0]
+        raise _norm_drift(norms[k], times[k], config, slack[k])
     states = None
     if kept is not None:
         states = np.zeros((n, space.dim), dtype=complex)

@@ -301,8 +301,9 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     t_end = cfg.t_end or 1.15 * effective_models.half_period(model)
 
     base_prop = _prop_config(cfg, params, t_end)
-    # snap the horizon to the base grid so refined runs sample identical times
-    t_snap = int(round(base_prop.t_end / base_prop.dt)) * base_prop.dt
+    # snap the horizon to the base grid so refined runs sample identical times;
+    # like propagate, take at least one step when t_end is under half a step
+    t_snap = max(1, int(round(base_prop.t_end / base_prop.dt))) * base_prop.dt
 
     def peak(n_max: int, spectrum, dt_scale: float) -> tuple[float, float]:
         psi0, _ = rabi_core.ground_state(spectrum)

@@ -288,6 +288,14 @@ class TestExitCodes:
         too_coarse = 1.01 * 2.0 * np.pi / (50 * 3.1)
         assert main([preset, "--config", str(cfg), "--out", out, "--dt", repr(too_coarse)]) == 3
 
+    def test_horizon_under_half_a_step_runs(self, tmp_path):
+        # the default step T/200 is 2.01 at omega_p = 1/64, so the report
+        # snaps t_end = 1 to one step instead of to zero
+        cfg = _write(tmp_path, "short.cfg",
+                     "lambda = 0.1\nn_max = 4\nt_end = 1.0\nomega_p = 0.015625\n")
+        assert main(["convergence-report", "--config", str(cfg),
+                     "--out", str(tmp_path / "s.csv")]) == 0
+
     def test_refinement_guard_failure(self, tmp_path):
         # the midpoint rule at the default step is not pointwise-converged
         # on a window edge; the report must catch that and exit 2
@@ -328,4 +336,26 @@ class TestConfigExtremes:
             f"lambda = 0.1\nn_max = {n_max}\nt_end = 5\ndt = {dt!r}\nOmega = {omega!r}\n"
             f"omega_p = {omega_p!r}\nsample_every = {sample_every}\n",
         )
+        assert main([preset, "--config", str(cfg), "--out", str(tmp / "x.csv")]) in (0, 2, 3)
+
+    # deep ultrastrong coupling and the default truncation; a short t_end and
+    # a step of at least 0.01 keep an off-grid draw on the step loop cheap
+    @settings(max_examples=8, deadline=None)
+    @given(
+        preset=st.sampled_from(
+            ["fig3-evolve", "resonance-scan", "convergence-report", "two-state-compare"]),
+        coupling=st.floats(0.0, 3.0),
+        n_max=st.integers(4, 40),
+        t_end=st.floats(0.1, 5.0),
+        dt=st.one_of(st.none(), st.floats(0.01, 0.05)),
+        omega_p=st.one_of(st.none(), st.floats(1e-3, 6.0)),
+    )
+    def test_strong_coupling_exit_code_is_documented(self, tmp_path_factory, preset, coupling,
+                                                     n_max, t_end, dt, omega_p):
+        # None leaves the key out: the default grid and the exact resonance
+        tmp = tmp_path_factory.mktemp("strong")
+        text = f"lambda = {coupling!r}\nn_max = {n_max}\nt_end = {t_end!r}\n"
+        text += "".join(f"{key} = {value!r}\n" for key, value in
+                        (("dt", dt), ("omega_p", omega_p)) if value is not None)
+        cfg = _write(tmp, "x.cfg", text)
         assert main([preset, "--config", str(cfg), "--out", str(tmp / "x.csv")]) in (0, 2, 3)

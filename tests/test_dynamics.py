@@ -345,9 +345,9 @@ class TestSectorFloquet:
         for name in oracle:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
 
-    def test_folded_period_builds_each_factor_once_per_pass(self, small_setup, monkeypatch):
+    def test_folded_period_builds_each_factor_once(self, small_setup, monkeypatch):
         # 2 * n_per half-step factors per period; the two symmetries leave
-        # n_per / 2 distinct ones, and each of the two passes builds them once
+        # n_per / 2 distinct ones, and the single pass builds each once
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
         period = 2.0 * np.pi / omega_p
@@ -361,7 +361,7 @@ class TestSectorFloquet:
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         propagate(params, make_space(N_SMALL, 3), cfg, initial)
-        assert 0 < len(calls) <= 200
+        assert 0 < len(calls) <= 100
 
     def test_rejects_hamiltonian_without_half_period_symmetry(self, small_setup, monkeypatch):
         # e-f coupling inside the sector keeps it closed but breaks S H S = H,
@@ -396,6 +396,34 @@ class TestSectorFloquet:
         t_first = loose.times[drift[0]]
         with pytest.raises(NormDriftError, match=f"at t={t_first:.4f} "):
             propagate(params, space, default_config(params, t_end=12.0, norm_tol=1e-16), initial)
+
+    def test_norm_guard_adds_the_unitarity_defect(self, small_setup, monkeypatch):
+        # factors non-unitary by about 1e-8 per step; up to t_end = T/5 every
+        # sample reads forward from psi(0), so the start-column norm stays 1
+        # and only the recorded defect of P_r can show the drift
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        space = make_space(N_SMALL, 3)
+        period = 2.0 * np.pi / omega_p
+        eigh = np.linalg.eigh
+
+        def inflating_eigh(a, *args, **kwargs):
+            w, q = eigh(a, *args, **kwargs)
+            return w, q * (1.0 + 2.5e-9)
+
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        monkeypatch.setattr(dynamics.np.linalg, "eigh", inflating_eigh)
+
+        def run(norm_tol):
+            cfg = PropagationConfig(t_end=0.2 * period, dt=period / 200, norm_tol=norm_tol)
+            return propagate(params, space, cfg, initial)
+
+        loose = run(1e-3)
+        assert np.max(np.abs(loose.norm - 1.0)) < 1e-14
+        # the first sample after t = 0 already drifts by about 1e-8
+        with pytest.raises(NormDriftError, match=f"at t={loose.times[1]:.4f} "):
+            run(1e-9)
+        assert loose.times[1] > 0.0
 
     @pytest.mark.parametrize("case", ["rk4", "midpoint-exponential", "off-grid dt",
                                       "off-sector state", "no drive frequency"])

@@ -7,10 +7,11 @@ errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamics import METHODS
+from .dynamics import METHODS, PropagationConfig
 
 PRESETS = (
     "fig2-sweep",
@@ -19,9 +20,6 @@ PRESETS = (
     "convergence-report",
     "two-state-compare",
 )
-
-_SWEEP_PRESETS = ("fig2-sweep", "resonance-scan")
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -46,7 +44,8 @@ class ExperimentConfig:
     """Fully resolved preset configuration.
 
     drive_freq None means "use the exact resonance computed from the spectrum";
-    t_end / dt / sample_every None mean "derive the default grid".
+    t_end / dt / sample_every None mean "derive the default grid".  norm_tol
+    and method default to the propagator's own defaults.
     """
 
     preset: str
@@ -60,8 +59,8 @@ class ExperimentConfig:
     t_end: float | None = None
     dt: float | None = None
     sample_every: int | None = None
-    norm_tol: float = 1e-9
-    method: str = "magnus4"
+    norm_tol: float = PropagationConfig.norm_tol
+    method: str = PropagationConfig.method
     sweep: SweepSpec | None = None
     output_path: str | None = None
 
@@ -73,26 +72,30 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected a comma-separated float list, got {text!r}") from exc
 
 
-_KEY_PARSERS = {
-    "preset": str,
-    "omega0": float,
-    "omega_f": float,
-    "lambda": float,
-    "Omega": float,
-    "omega_p": float,
-    "Omega_list": _parse_float_list,
-    "n_max": int,
-    "t_end": float,
-    "dt": float,
-    "sample_every": int,
-    "norm_tol": float,
-    "method": str,
-    "sweep_variable": str,
-    "sweep_start": float,
-    "sweep_stop": float,
-    "sweep_steps": int,
-    "output_path": str,
+# config key -> (field it sets, parser); the sweep_* keys set SweepSpec fields,
+# every other key an ExperimentConfig field
+_KEYS = {
+    "preset": ("preset", str),
+    "omega0": ("omega0", float),
+    "omega_f": ("omega_f", float),
+    "lambda": ("coupling", float),
+    "Omega": ("drive_amp", float),
+    "omega_p": ("drive_freq", float),
+    "Omega_list": ("omega_list", _parse_float_list),
+    "n_max": ("n_max", int),
+    "t_end": ("t_end", float),
+    "dt": ("dt", float),
+    "sample_every": ("sample_every", int),
+    "norm_tol": ("norm_tol", float),
+    "method": ("method", str),
+    "sweep_variable": ("variable", str),
+    "sweep_start": ("start", float),
+    "sweep_stop": ("stop", float),
+    "sweep_steps": ("steps", int),
+    "output_path": ("output_path", str),
 }
+
+_KEY_OF = {field: key for key, (field, _) in _KEYS.items()}
 
 _SWEEP_KEYS = ("sweep_variable", "sweep_start", "sweep_stop", "sweep_steps")
 
@@ -120,12 +123,12 @@ def parse_config_file(path: str | Path) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            raw[key] = _KEY_PARSERS[key](value)
+            raw[key] = _KEYS[key][1](value)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -138,69 +141,52 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
     raw = dict(raw or {})
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; valid: {', '.join(PRESETS)}")
-    file_preset = raw.pop("preset", None)
-    if file_preset is not None and file_preset != preset:
+    file_preset = raw.pop("preset", preset)
+    if file_preset != preset:
         raise ConfigError(
             f"config file is for preset {file_preset!r} but {preset!r} was requested"
         )
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unhandled keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must be finite, got {value}")
 
     sweep_items = {k: raw.pop(k) for k in _SWEEP_KEYS if k in raw}
-    sweep = None
-    if sweep_items:
-        missing = [k for k in _SWEEP_KEYS if k not in sweep_items]
-        if missing:
-            raise ConfigError(f"incomplete sweep: missing {', '.join(missing)}")
-        sweep = SweepSpec(
-            variable=sweep_items["sweep_variable"],
-            start=sweep_items["sweep_start"],
-            stop=sweep_items["sweep_stop"],
-            steps=sweep_items["sweep_steps"],
-        )
-    if preset in _SWEEP_PRESETS:
-        if sweep is None:
-            sweep = _DEFAULT_SWEEPS[preset]
-        if sweep.variable not in _SWEEP_VARIABLES[preset]:
-            raise ConfigError(
-                f"preset {preset!r} sweeps over "
-                f"{' or '.join(_SWEEP_VARIABLES[preset])}, not {sweep.variable!r}"
-            )
-    elif sweep is not None:
+    missing = [k for k in _SWEEP_KEYS if k not in sweep_items]
+    if not sweep_items:
+        sweep = _DEFAULT_SWEEPS.get(preset)
+    elif missing:
+        raise ConfigError(f"incomplete sweep: missing {', '.join(missing)}")
+    elif preset not in _SWEEP_VARIABLES:
         raise ConfigError(f"preset {preset!r} does not take a sweep")
+    else:
+        sweep = SweepSpec(**{_KEYS[k][0]: v for k, v in sweep_items.items()})
+    if sweep is not None and sweep.variable not in _SWEEP_VARIABLES[preset]:
+        raise ConfigError(
+            f"preset {preset!r} sweeps over "
+            f"{' or '.join(_SWEEP_VARIABLES[preset])}, not {sweep.variable!r}"
+        )
 
     if "Omega_list" in raw and preset != "fig3-evolve":
         raise ConfigError("Omega_list applies to the fig3-evolve preset only")
 
     cfg = ExperimentConfig(
-        preset=preset,
-        omega0=raw.pop("omega0", 1.0),
-        coupling=raw.pop("lambda", 0.5),
-        omega_f=raw.pop("omega_f", 3.0),
-        drive_amp=raw.pop("Omega", None),
-        drive_freq=raw.pop("omega_p", None),
-        omega_list=raw.pop("Omega_list", None),
-        n_max=raw.pop("n_max", 40),
-        t_end=raw.pop("t_end", None),
-        dt=raw.pop("dt", None),
-        sample_every=raw.pop("sample_every", None),
-        norm_tol=raw.pop("norm_tol", 1e-9),
-        method=raw.pop("method", "magnus4"),
-        sweep=sweep,
-        output_path=raw.pop("output_path", None),
+        preset=preset, sweep=sweep, **{_KEYS[k][0]: v for k, v in raw.items()}
     )
-    if raw:
-        raise ConfigError(f"unhandled keys: {', '.join(sorted(raw))}")
     if cfg.n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {cfg.n_max}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
     for name in ("coupling", "omega_f"):
         if getattr(cfg, name) < 0:
-            raise ConfigError(f"{name} must be non-negative")
+            raise ConfigError(f"{_KEY_OF[name]} must be non-negative")
     for name in ("omega0", "drive_amp", "drive_freq", "t_end", "dt", "norm_tol"):
         value = getattr(cfg, name)
         if value is not None and value <= 0:
-            key = {"drive_amp": "Omega", "drive_freq": "omega_p"}.get(name, name)
-            raise ConfigError(f"{key} must be positive, got {value}")
+            raise ConfigError(f"{_KEY_OF[name]} must be positive, got {value}")
     if cfg.omega_list is not None and any(o <= 0 for o in cfg.omega_list):
         raise ConfigError("Omega_list entries must be positive")
     if cfg.sample_every is not None and cfg.sample_every < 1:
@@ -215,17 +201,8 @@ def load_experiment(
     n_max: int | None = None,
     dt: float | None = None,
 ) -> ExperimentConfig:
-    """Load a preset config, applying command-line overrides."""
+    """Load a preset config; the command-line overrides replace its keys before validation."""
     raw = parse_config_file(config_path) if config_path is not None else {}
-    cfg = build_config(preset, raw)
-    if out is not None:
-        cfg = replace(cfg, output_path=str(out))
-    if n_max is not None:
-        if n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {n_max}")
-        cfg = replace(cfg, n_max=n_max)
-    if dt is not None:
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
-        cfg = replace(cfg, dt=dt)
-    return cfg
+    overrides = {"output_path": None if out is None else str(out), "n_max": n_max, "dt": dt}
+    raw.update({key: value for key, value in overrides.items() if value is not None})
+    return build_config(preset, raw)

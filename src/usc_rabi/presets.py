@@ -8,20 +8,22 @@ configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, effective_models, polaron, rabi_core
 from .config import ConfigError, ExperimentConfig
-from .hilbert import make_space
+from .hilbert import SpaceDescriptor, make_space
 from .rabi_core import ModelParams
 
 GUARD_TOL = 1e-8
 DT_GUARD_TOL = 1e-6
 
 _DEFAULT_OMEGA_LIST = (0.2, 0.4, 0.8)
+# drive amplitude (Omega) of the single-amplitude presets when the config sets none
+_DEFAULT_DRIVE_AMP = {"resonance-scan": 0.4, "convergence-report": 0.2, "two-state-compare": 0.2}
 _FLOAT_FMT = "{:.12g}"
 
 
@@ -58,6 +60,11 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     return path
 
 
+def _spectrum_pair(params: ModelParams, n_max: int) -> tuple[rabi_core.SpectrumResult, ...]:
+    """Exact spectra at n_max and at 2*n_max, the truncation-doubling pair."""
+    return tuple(rabi_core.solve_spectrum(params, make_space(n, 2)) for n in (n_max, 2 * n_max))
+
+
 def guarded_spectrum(
     params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
 ) -> rabi_core.SpectrumResult:
@@ -66,8 +73,7 @@ def guarded_spectrum(
     Guards the ground energy and |c_n0| for every n in `photons` (by default
     the single-virtual-photon amplitude) to 1e-8.
     """
-    spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
-    spec2 = rabi_core.solve_spectrum(params, make_space(2 * n_max, 2))
+    spec, spec2 = _spectrum_pair(params, n_max)
     d_energy = abs(spec.ground_energy - spec2.ground_energy)
     d_amps = {
         n: abs(abs(rabi_core.dressed_amplitude(spec, n))
@@ -84,18 +90,56 @@ def guarded_spectrum(
     return spec
 
 
-def _base_params(cfg: ExperimentConfig, drive_amp: float = 0.0, drive_freq: float = 0.0) -> ModelParams:
-    return ModelParams(
-        omega0=cfg.omega0,
-        coupling=cfg.coupling,
-        omega_f=cfg.omega_f,
-        drive_amp=drive_amp,
-        drive_freq=drive_freq,
+@dataclass(frozen=True)
+class _Run:
+    """What the driven runs of one preset share.
+
+    params carries the preset drive amplitude and the resolved omega_p: the
+    config value, else the exact 1-photon resonance omega_f + 1 - E0.  spec2,
+    the 2*n_max spectrum, is kept only when the pair is solved unguarded.
+    """
+
+    params: ModelParams
+    spec: rabi_core.SpectrumResult
+    pol: polaron.PolaronParams
+    initial: np.ndarray
+    space3: SpaceDescriptor
+    spec2: rabi_core.SpectrumResult | None = None
+
+
+def _resolve(
+    cfg: ExperimentConfig, photons: tuple[int, ...] | None = (1,), drive_amp: float | None = None
+) -> _Run:
+    """Params, truncation-guarded spectrum, resonance, polaron frame and start state.
+
+    drive_amp defaults to the config's Omega, else the preset's default.
+    photons None solves the n_max / 2*n_max pair without guarding it; the
+    caller reports and judges the deltas itself.
+    """
+    drive_amp = drive_amp or cfg.drive_amp or _DEFAULT_DRIVE_AMP[cfg.preset]
+    params = ModelParams(
+        omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f, drive_amp=drive_amp
+    )
+    spec2 = None
+    if photons is None:
+        spec, spec2 = _spectrum_pair(params, cfg.n_max)
+    else:
+        spec = guarded_spectrum(params, cfg.n_max, photons=photons)
+    omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec, n=1, mode="exact")
+    psi0, _ = rabi_core.ground_state(spec)
+    return _Run(
+        params=replace(params, drive_freq=omega_p),
+        spec=spec,
+        pol=polaron.solve_xi_eta(params),
+        initial=dynamics.embed_ground_state(psi0),
+        space3=make_space(cfg.n_max, 3),
+        spec2=spec2,
     )
 
 
-def _out_path(cfg: ExperimentConfig) -> Path:
-    return Path(cfg.output_path) if cfg.output_path else Path(f"{cfg.preset}.csv")
+def _write_result(cfg: ExperimentConfig, provenance: dict, cols: dict) -> PresetResult:
+    path = write_csv(cfg.output_path or f"{cfg.preset}.csv", provenance, cols)
+    return PresetResult(path=path, provenance=provenance, columns=cols)
 
 
 def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dynamics.PropagationConfig:
@@ -154,21 +198,20 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
         "guard_tol": GUARD_TOL,
         "sweep": f"lambda from {cfg.sweep.start:g} to {cfg.sweep.stop:g} in {cfg.sweep.steps} points",
     }
-    path = write_csv(_out_path(cfg), provenance, cols)
-    return PresetResult(path=path, provenance=provenance, columns=cols)
+    return _write_result(cfg, provenance, cols)
 
 
-def _resolved_header(cfg: ExperimentConfig, params: ModelParams, spec, pol) -> dict:
+def _resolved_header(cfg: ExperimentConfig, run: _Run) -> dict:
     return {
         "preset": cfg.preset,
-        "omega0": params.omega0,
-        "lambda": params.coupling,
-        "omega_f": params.omega_f,
+        "omega0": cfg.omega0,
+        "lambda": cfg.coupling,
+        "omega_f": cfg.omega_f,
         "n_max": cfg.n_max,
-        "xi": pol.xi,
-        "eta": pol.eta,
-        "lambda0": spec.ground_energy,
-        "e_approx": pol.e_approx,
+        "xi": run.pol.xi,
+        "eta": run.pol.eta,
+        "lambda0": run.spec.ground_energy,
+        "e_approx": run.pol.e_approx,
     }
 
 
@@ -179,31 +222,19 @@ def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
     given) and the sampling grid, so the curves land in one table.
     """
     omegas = cfg.omega_list or _DEFAULT_OMEGA_LIST
-    base = _base_params(cfg)
-    spec = guarded_spectrum(base, cfg.n_max)
-    pol = polaron.solve_xi_eta(base)
-    psi0, _ = rabi_core.ground_state(spec)
-    initial = dynamics.embed_ground_state(psi0)
-    space3 = make_space(cfg.n_max, 3)
-
-    omega_p = cfg.drive_freq or dynamics.resonance_frequency(base, spec, n=1, mode="exact")
-    slowest = effective_models.model_from_eigenbasis(
-        ModelParams(omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f,
-                    drive_amp=min(omegas), drive_freq=omega_p),
-        spec,
-    )
+    run = _resolve(cfg, drive_amp=min(omegas))
+    slowest = effective_models.model_from_eigenbasis(run.params, run.spec)
     t_end_default = 1.15 * 2.0 * effective_models.half_period(slowest)
 
     cols: dict = {}
-    provenance = _resolved_header(cfg, base, spec, pol)
-    provenance["omega_p"] = omega_p
+    provenance = _resolved_header(cfg, run)
+    provenance["omega_p"] = run.params.drive_freq
     prop = None
     for om in omegas:
-        params = ModelParams(omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f,
-                             drive_amp=om, drive_freq=omega_p)
+        params = replace(run.params, drive_amp=om)
         prop = _prop_config(cfg, params, t_end_default)
-        series = dynamics.propagate(params, space3, prop, initial)
-        model = effective_models.model_from_eigenbasis(params, spec)
+        series = dynamics.propagate(params, run.space3, prop, run.initial)
+        model = effective_models.model_from_eigenbasis(params, run.spec)
         tag = f"{om:g}"
         if "t" not in cols:
             cols["t"] = series.times
@@ -215,8 +246,7 @@ def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
         {"t_end": prop.t_end, "dt": prop.dt, "sample_every": prop.sample_every,
          "method": prop.method, "Omega_list": ",".join(f"{o:g}" for o in omegas)}
     )
-    path = write_csv(_out_path(cfg), provenance, cols)
-    return PresetResult(path=path, provenance=provenance, columns=cols)
+    return _write_result(cfg, provenance, cols)
 
 
 def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
@@ -229,103 +259,73 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
     """
     if cfg.n_max < 3:
         raise ConfigError(f"resonance-scan reads |f,3> and needs n_max >= 3, got {cfg.n_max}")
-    drive_amp = cfg.drive_amp if cfg.drive_amp is not None else 0.4
-    base = _base_params(cfg, drive_amp=drive_amp)
-    spec = guarded_spectrum(base, cfg.n_max, photons=(1, 3))
-    pol = polaron.solve_xi_eta(base)
-    psi0, _ = rabi_core.ground_state(spec)
-    initial = dynamics.embed_ground_state(psi0)
-    space3 = make_space(cfg.n_max, 3)
-
-    g1_model = effective_models.multiphoton_model(base, spec, 1)
-    g3_model = effective_models.multiphoton_model(base, spec, 3)
-    t_half = {
-        1: effective_models.half_period(g1_model),
-        3: effective_models.half_period(g3_model),
-    }
+    run = _resolve(cfg, photons=(1, 3))
+    p = run.params
+    predicted = {n: p.omega_f + n * p.omega_c - run.spec.ground_energy for n in (1, 2, 3)}
+    models = {n: effective_models.multiphoton_model(p, run.spec, n) for n in (1, 3)}
+    t_half = {n: effective_models.half_period(model) for n, model in models.items()}
     t_half[2] = t_half[3]  # longest horizon makes the null test strongest
 
+    # (omega_p, default t_end) of every scan point
     sweep = cfg.sweep
-    points: list[tuple[float, float]] = []  # (omega_p, t_end)
+    grid = np.linspace(sweep.start, sweep.stop, sweep.steps)
     if sweep.variable == "delta_omega_p":
-        offsets = np.linspace(sweep.start, sweep.stop, sweep.steps)
-        for n in (1, 2, 3):
-            center = base.omega_f + n * base.omega_c - spec.ground_energy
-            for off in offsets:
-                points.append((center + off, cfg.t_end or 1.05 * t_half[n]))
+        points = [(predicted[n] + off, 1.05 * t_half[n]) for n in (1, 2, 3) for off in grid]
     else:
-        for wp in np.linspace(sweep.start, sweep.stop, sweep.steps):
-            points.append((float(wp), cfg.t_end or 1.05 * t_half[1]))
+        points = [(float(wp), 1.05 * t_half[1]) for wp in grid]
 
     cols: dict = {"omega_p": [], "max_p_f1": [], "max_p_f3": []}
     for omega_p, t_end in points:
-        params = ModelParams(omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f,
-                             drive_amp=drive_amp, drive_freq=omega_p)
+        params = replace(p, drive_freq=omega_p)
         prop = _prop_config(cfg, params, t_end)
-        series = dynamics.propagate(params, space3, prop, initial)
+        series = dynamics.propagate(params, run.space3, prop, run.initial)
         cols["omega_p"].append(omega_p)
         cols["max_p_f1"].append(float(series.p_f1.max()))
         cols["max_p_f3"].append(float(series.p_f3.max()))
 
-    provenance = _resolved_header(cfg, base, spec, pol)
-    provenance.update(
-        {
-            "Omega": drive_amp,
-            "predicted_n1": base.omega_f + 1 * base.omega_c - spec.ground_energy,
-            "predicted_n2": base.omega_f + 2 * base.omega_c - spec.ground_energy,
-            "predicted_n3": base.omega_f + 3 * base.omega_c - spec.ground_energy,
-            "g_n1": g1_model.coupling,
-            "g_n3": g3_model.coupling,
-            "sweep": f"{sweep.variable} from {sweep.start:g} to {sweep.stop:g} in {sweep.steps} points",
-        }
+    provenance = _resolved_header(cfg, run)
+    provenance["Omega"] = p.drive_amp
+    provenance.update({f"predicted_n{n}": w for n, w in predicted.items()})
+    provenance.update({f"g_n{n}": model.coupling for n, model in models.items()})
+    provenance["sweep"] = (
+        f"{sweep.variable} from {sweep.start:g} to {sweep.stop:g} in {sweep.steps} points"
     )
-    path = write_csv(_out_path(cfg), provenance, cols)
-    return PresetResult(path=path, provenance=provenance, columns=cols)
+    return _write_result(cfg, provenance, cols)
 
 
 def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     """Refinement study: truncation doubling and step halving for the headline numbers.
 
-    Raises ConvergenceGuardError when the ground energy moves above 1e-8 under
-    truncation doubling or the peak transfer moves above 1e-6 under either
-    refinement.  Pure computation; idempotent across runs.
+    Writes its CSV, then raises ConvergenceGuardError when the ground energy
+    moves above 1e-8 under truncation doubling or the peak transfer moves
+    above 1e-6 under either refinement.  Pure computation; idempotent across
+    runs.
     """
-    drive_amp = cfg.drive_amp if cfg.drive_amp is not None else 0.2
-    base = _base_params(cfg, drive_amp=drive_amp)
-    spec = rabi_core.solve_spectrum(base, make_space(cfg.n_max, 2))
-    spec2 = rabi_core.solve_spectrum(base, make_space(2 * cfg.n_max, 2))
-    omega_p = cfg.drive_freq or dynamics.resonance_frequency(base, spec, n=1, mode="exact")
-    params = ModelParams(omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f,
-                         drive_amp=drive_amp, drive_freq=omega_p)
-    model = effective_models.model_from_eigenbasis(params, spec)
-    t_end = cfg.t_end or 1.15 * effective_models.half_period(model)
-
-    base_prop = _prop_config(cfg, params, t_end)
+    run = _resolve(cfg, photons=None)
+    spec, spec2 = run.spec, run.spec2
+    model = effective_models.model_from_eigenbasis(run.params, spec)
+    base_prop = _prop_config(cfg, run.params, 1.15 * effective_models.half_period(model))
     # snap the horizon to the base grid so refined runs sample identical times;
     # like propagate, take at least one step when t_end is under half a step
     t_snap = max(1, int(round(base_prop.t_end / base_prop.dt))) * base_prop.dt
 
-    def peak(n_max: int, spectrum, dt_scale: float) -> tuple[float, float]:
-        psi0, _ = rabi_core.ground_state(spectrum)
-        prop = dynamics.PropagationConfig(
-            t_end=t_snap, dt=base_prop.dt * dt_scale,
+    def peak(space, initial, dt_scale: float) -> tuple[float, float]:
+        prop = replace(
+            base_prop, t_end=t_snap, dt=base_prop.dt * dt_scale,
             sample_every=max(1, int(round(base_prop.sample_every / dt_scale))),
-            norm_tol=base_prop.norm_tol, method=base_prop.method,
         )
-        series = dynamics.propagate(
-            params, make_space(n_max, 3), prop, dynamics.embed_ground_state(psi0)
-        )
+        series = dynamics.propagate(run.params, space, prop, initial)
         return float(series.p_f1.max()), prop.dt
 
-    p_base, dt_base = peak(cfg.n_max, spec, 1.0)
-    p_2n, _ = peak(2 * cfg.n_max, spec2, 1.0)
-    p_half, dt_half = peak(cfg.n_max, spec, 0.5)
+    psi0_2n, _ = rabi_core.ground_state(spec2)
+    p_base, dt_base = peak(run.space3, run.initial, 1.0)
+    p_2n, _ = peak(make_space(2 * cfg.n_max, 3), dynamics.embed_ground_state(psi0_2n), 1.0)
+    p_half, dt_half = peak(run.space3, run.initial, 0.5)
 
     d_lambda0 = abs(spec.ground_energy - spec2.ground_energy)
     d_p_nmax = abs(p_2n - p_base)
     d_p_dt = abs(p_half - p_base)
 
-    pol = polaron.solve_xi_eta(base)
     cols = {
         "n_max": [cfg.n_max, 2 * cfg.n_max, cfg.n_max],
         "dt": [dt_base, dt_base, dt_half],
@@ -337,10 +337,10 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
         "omega0": cfg.omega0,
         "lambda": cfg.coupling,
         "omega_f": cfg.omega_f,
-        "Omega": drive_amp,
-        "omega_p": omega_p,
-        "xi": pol.xi,
-        "eta": pol.eta,
+        "Omega": run.params.drive_amp,
+        "omega_p": run.params.drive_freq,
+        "xi": run.pol.xi,
+        "eta": run.pol.eta,
         "t_end": t_snap,
         "delta_lambda0_nmax_doubling": d_lambda0,
         "delta_max_p_f1_nmax_doubling": d_p_nmax,
@@ -351,32 +351,23 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     print(f"lambda0 delta under n_max doubling: {d_lambda0:.3e} (threshold {GUARD_TOL:g})")
     print(f"max_p_f1 delta under n_max doubling: {d_p_nmax:.3e} (threshold {DT_GUARD_TOL:g})")
     print(f"max_p_f1 delta under dt halving: {d_p_dt:.3e} (threshold {DT_GUARD_TOL:g})")
-    path = write_csv(_out_path(cfg), provenance, cols)
+    result = _write_result(cfg, provenance, cols)
     if d_lambda0 > GUARD_TOL or d_p_nmax > DT_GUARD_TOL or d_p_dt > DT_GUARD_TOL:
         raise ConvergenceGuardError(
             f"refinement deltas exceed thresholds: lambda0 {d_lambda0:.3e}, "
             f"max_p_f1 n_max {d_p_nmax:.3e}, max_p_f1 dt {d_p_dt:.3e}"
         )
-    return PresetResult(path=path, provenance=provenance, columns=cols)
+    return result
 
 
 def run_two_state_compare(cfg: ExperimentConfig) -> PresetResult:
     """Full propagation against both analytic two-state curves over one Rabi period."""
-    drive_amp = cfg.drive_amp if cfg.drive_amp is not None else 0.2
-    base = _base_params(cfg, drive_amp=drive_amp)
-    spec = guarded_spectrum(base, cfg.n_max)
-    omega_p = cfg.drive_freq or dynamics.resonance_frequency(base, spec, n=1, mode="exact")
-    params = ModelParams(omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f,
-                         drive_amp=drive_amp, drive_freq=omega_p)
-    pol = polaron.solve_xi_eta(params)
-    eig_model = effective_models.model_from_eigenbasis(params, spec)
-    pol_model = effective_models.model_from_polaron(params, pol)
+    run = _resolve(cfg)
+    eig_model = effective_models.model_from_eigenbasis(run.params, run.spec)
+    pol_model = effective_models.model_from_polaron(run.params, run.pol)
 
-    psi0, _ = rabi_core.ground_state(spec)
-    t_end = cfg.t_end or 1.02 * 2.0 * effective_models.half_period(eig_model)
-    prop = _prop_config(cfg, params, t_end)
-    series = dynamics.propagate(params, make_space(cfg.n_max, 3), prop,
-                                dynamics.embed_ground_state(psi0))
+    prop = _prop_config(cfg, run.params, 1.02 * 2.0 * effective_models.half_period(eig_model))
+    series = dynamics.propagate(run.params, run.space3, prop, run.initial)
 
     p_eig = effective_models.analytic_transfer(eig_model, series.times)
     p_pol = effective_models.analytic_transfer(pol_model, series.times)
@@ -387,11 +378,11 @@ def run_two_state_compare(cfg: ExperimentConfig) -> PresetResult:
         "p_f1_polaron": p_pol,
         "norm": series.norm,
     }
-    provenance = _resolved_header(cfg, params, spec, pol)
+    provenance = _resolved_header(cfg, run)
     provenance.update(
         {
-            "Omega": drive_amp,
-            "omega_p": omega_p,
+            "Omega": run.params.drive_amp,
+            "omega_p": run.params.drive_freq,
             "t_end": prop.t_end,
             "dt": prop.dt,
             "g_eigenbasis": eig_model.coupling,
@@ -401,8 +392,7 @@ def run_two_state_compare(cfg: ExperimentConfig) -> PresetResult:
             "supnorm_gap_eigenbasis": float(np.max(np.abs(series.p_f1 - p_eig))),
         }
     )
-    path = write_csv(_out_path(cfg), provenance, cols)
-    return PresetResult(path=path, provenance=provenance, columns=cols)
+    return _write_result(cfg, provenance, cols)
 
 
 _RUNNERS = {

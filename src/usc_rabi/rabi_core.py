@@ -142,14 +142,15 @@ def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResul
     """Exact diagonalization of the Rabi Hamiltonian, one parity chain at a time.
 
     Each parity sector is diagonalized as its real tridiagonal chain (see the
-    module docstring) and the chain eigenvectors are scattered into the
-    full-space rows of the chain sites, so every eigenvector is a parity
-    eigenstate by construction, also where levels of the two sectors cross.
+    module docstring) and the real chain eigenvectors are scattered into the
+    full-space rows of the chain sites, so every eigenvector is real and a
+    parity eigenstate by construction, also where levels of the two sectors
+    cross.
     """
     if space.atom_levels != 2:
         raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
     w = np.empty(space.dim)
-    v = np.zeros((space.dim, space.dim), dtype=complex)
+    v = np.zeros((space.dim, space.dim))
     for k, parity in enumerate((1, -1)):
         chain, rows = _sector_chain(params, space, parity)
         cols = slice(k * space.n_photon, (k + 1) * space.n_photon)

@@ -303,6 +303,54 @@ class TestExitCodes:
         assert main(["convergence-report", "--config", str(cfg),
                      "--out", str(tmp_path / "m.csv")]) == 2
 
+    def test_refinement_guard_failure_still_writes_csv(self, tmp_path, capsys):
+        # at n_max = 4, lambda = 0.8 the ground energy moves 7.3e-4 under
+        # n_max doubling; the report writes its table before it exits 2
+        cfg = _write(tmp_path, "cv4.cfg", "n_max = 4\nlambda = 0.8\nt_end = 5\n")
+        out = tmp_path / "cv4.csv"
+        assert main(["convergence-report", "--config", str(cfg), "--out", str(out)]) == 2
+        names, data = _read_columns(out)
+        assert names == ["n_max", "dt", "lambda0", "max_p_f1"]
+        assert abs(data[1, 2] - data[0, 2]) == pytest.approx(7.3e-4, rel=0.01)
+        assert "# delta_lambda0_nmax_doubling = " in out.read_text()
+        assert "lambda0 delta under n_max doubling" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset", [
+        "fig3-evolve", "resonance-scan", "convergence-report", "two-state-compare"])
+    @pytest.mark.parametrize("key", ["dt", "Omega", "omega_p"])
+    def test_zero_is_config_error(self, tmp_path, capsys, preset, key):
+        cfg = _write(tmp_path, "z.cfg", f"lambda = 0.1\nn_max = 4\nt_end = 5\n{key} = 0.0\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "z.csv")]) == 3
+        assert f"{key} must be positive, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        "omega0", "omega_f", "lambda", "Omega", "omega_p", "Omega_list",
+        "t_end", "dt", "norm_tol", "sweep_start", "sweep_stop"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, key, value):
+        preset, keys = "two-state-compare", {"lambda": "0.1", "n_max": "4", "t_end": "2"}
+        if key == "Omega_list":
+            preset, value = "fig3-evolve", f"0.2,{value}"
+        elif key.startswith("sweep_"):
+            preset = "fig2-sweep"
+            keys.update(sweep_variable="lambda", sweep_start="0", sweep_stop="0.3",
+                        sweep_steps="3")
+        keys[key] = value
+        cfg = _write(tmp_path, "nf.cfg", "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "nf.csv")]) == 3
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, flag, value", [
+        ("n_max", "--nmax", "0"), ("dt", "--dt", "0"), ("dt", "--dt", "nan")])
+    def test_override_is_checked_like_its_config_key(self, tmp_path, capsys, key, flag, value):
+        out = str(tmp_path / "o.csv")
+        cfg = _write(tmp_path, "o.cfg", f"{key} = {value}\n")
+        assert main(["two-state-compare", "--config", str(cfg), "--out", out]) == 3
+        from_file = capsys.readouterr().err
+        assert main(["two-state-compare", flag, value, "--out", out]) == 3
+        assert capsys.readouterr().err == from_file
+        assert f"config error: {key} must be" in from_file
+
     def test_guard_exception_carries_offending_point(self):
         cfg = build_config(
             "fig2-sweep",
@@ -317,14 +365,15 @@ class TestConfigExtremes:
     """Every config the parser accepts runs or exits with a documented code."""
 
     # lambda = 0.1 keeps the truncation guard passing down to n_max = 4, so
-    # most draws with a resolvable dt reach the propagation
+    # most draws with a resolvable dt reach the propagation; the zeros the
+    # config rejects are covered by TestExitCodes::test_zero_is_config_error
     @settings(max_examples=30, deadline=None)
     @given(
         preset=st.sampled_from(
             ["fig3-evolve", "resonance-scan", "convergence-report", "two-state-compare"]),
-        dt=st.one_of(st.just(0.0), st.floats(2e-3, 1.0), st.floats(2e-3, 0.03)),
-        omega=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
-        omega_p=st.one_of(st.just(0.0), st.floats(1e-3, 30.0), st.floats(1e-3, 6.0)),
+        dt=st.one_of(st.floats(2e-3, 1.0), st.floats(2e-3, 0.03)),
+        omega=st.floats(1e-3, 3.0),
+        omega_p=st.one_of(st.floats(1e-3, 30.0), st.floats(1e-3, 6.0)),
         sample_every=st.integers(0, 10_000),
         n_max=st.integers(4, 8),
     )

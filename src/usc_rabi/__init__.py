@@ -35,7 +35,6 @@ from .hilbert import (
     eigh,
     make_space,
     matrix_exponential,
-    number_operator,
 )
 from .polaron import (
     PolaronParams,
@@ -52,7 +51,6 @@ from .rabi_core import (
     SpectrumResult,
     build_h_rabi,
     dressed_amplitude,
-    dressed_amplitude_matrix,
     ground_state,
     parity_labels,
     parity_matrix,

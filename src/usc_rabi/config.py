@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamics import METHODS, PropagationConfig
+from .dynamics import PropagationConfig
 
 PRESETS = (
     "fig2-sweep",
@@ -45,7 +45,7 @@ class ExperimentConfig:
 
     drive_freq None means "use the exact resonance computed from the spectrum";
     t_end / dt / sample_every None mean "derive the default grid".  norm_tol
-    and method default to the propagator's own defaults.
+    defaults to the propagator's own default.
     """
 
     preset: str
@@ -60,7 +60,6 @@ class ExperimentConfig:
     dt: float | None = None
     sample_every: int | None = None
     norm_tol: float = PropagationConfig.norm_tol
-    method: str = PropagationConfig.method
     sweep: SweepSpec | None = None
     output_path: str | None = None
 
@@ -87,7 +86,6 @@ _KEYS = {
     "dt": ("dt", float),
     "sample_every": ("sample_every", int),
     "norm_tol": ("norm_tol", float),
-    "method": ("method", str),
     "sweep_variable": ("variable", str),
     "sweep_start": ("start", float),
     "sweep_stop": ("stop", float),
@@ -178,8 +176,6 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
     )
     if cfg.n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {cfg.n_max}")
-    if cfg.method not in METHODS:
-        raise ConfigError(f"unknown method {cfg.method!r}")
     for name in ("coupling", "omega_f"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{_KEY_OF[name]} must be non-negative")

@@ -6,20 +6,20 @@ on the e <-> f transition.  The drive is kept with its full cosine (no
 rotating-wave approximation) so the fast counter-rotating ripple at strong
 driving is reproduced.
 
-The default integrator is a fourth-order commutator-free Magnus stepper:
-with H_1,2 evaluated at the Gauss-Legendre nodes of the step,
+The integrator is the fourth-order commutator-free Magnus (CF4) stepper of
+Alvermann & Fehske (J. Comput. Phys. 230, 5930 (2011)): with H_1,2 evaluated
+at the Gauss-Legendre nodes of the step,
 
     U(t+dt, t) = exp(-i dt (x1 H_1 + x2 H_2)) exp(-i dt (x2 H_1 + x1 H_2)),
     x1 = (3 - 2*sqrt(3))/12,  x2 = (3 + 2*sqrt(3))/12,
 
 which is exactly unitary per step and keeps every sampled probability stable
-to ~1e-9 under step halving at the default grid.  The second-order midpoint
-exponential U = exp(-i H(t+dt/2) dt) and classical RK4 are retained as
-cross-checks.
+to ~1e-9 under step halving at the default grid.
 
-propagate runs on one of two paths, chosen from its inputs:
+propagate runs it on one of two paths, chosen from the drive period and the
+start state:
 
-- sector-Floquet (magnus4 only): when the drive is periodic (drive_freq > 0),
+- sector-Floquet: when the drive is periodic (drive_freq > 0),
   dt divides its period T = 2*pi/drive_freq to 1e-12 relative (the default
   dt = T/200 and its halving T/400 do), and the initial state is exactly zero
   outside the parity sector {|g,even>, |e,odd>, |f,odd>} that the Rabi
@@ -41,8 +41,8 @@ propagate runs on one of two paths, chosen from its inputs:
   at the default T/200 a propagation makes 100 eigendecompositions.  The
   norm reported is that of the segment start, and the drift guard adds the
   recorded unitarity defect of P_r, so it bounds the true drift from above.
-- step loop: every other input (rk4, midpoint-exponential, a step off the
-  period grid, no drive frequency, a state with weight outside the sector)
+- step loop: every other input (a step off the period grid, no drive
+  frequency, a state with weight outside the sector)
   steps the full 3-level space, applying each exponential to the state by an
   adaptive Taylor expansion exact to machine precision at the step sizes
   used here.  It is also the oracle the sector path is tested against.
@@ -69,8 +69,6 @@ _GAUSS_C2 = 0.5 + np.sqrt(3.0) / 6.0
 _CF4_X1 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0
 _CF4_X2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
-METHODS = ("magnus4", "midpoint-exponential", "rk4")
-
 DEFAULT_NORM_TOL = 1e-9
 DEFAULT_STEPS_PER_DRIVE_CYCLE = 200
 MIN_STEPS_PER_DRIVE_CYCLE = 50
@@ -94,15 +92,12 @@ class PropagationConfig:
     dt: float
     sample_every: int = 1
     norm_tol: float = DEFAULT_NORM_TOL
-    method: str = "magnus4"
 
     def __post_init__(self):
         if self.t_end <= 0 or self.dt <= 0:
             raise ValueError("t_end and dt must be positive")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown integration method {self.method!r}")
 
 
 def default_config(params: ModelParams, t_end: float, **overrides) -> PropagationConfig:
@@ -142,7 +137,7 @@ class TimeSeries:
     p_ground is the overlap probability with the initial (dressed ground)
     state; parity_leak tracks the largest amplitude on the parity-forbidden
     {|g,odd>, |e,even>} basis states.  The Hamiltonian builders give exact-zero
-    cross-sector blocks and the integrators keep exact zeros, so from a state
+    cross-sector blocks and the CF4 steps keep exact zeros, so from a state
     in the sector the leak reads exactly 0 on both paths: it catches a builder
     that couples the sectors, not integrator error.  norm is the state norm
     on the step loop; on the sector path it is the norm of the sample's
@@ -247,12 +242,11 @@ def propagate(
     config.sample_every steps plus the final step; aborts with NormDriftError
     naming the earliest sample whose norm leaves 1 +- norm_tol.
 
-    The series is computed on one of two paths, chosen from the inputs.  With
-    method magnus4, a drive with drive_freq > 0, a step that divides the drive
-    period to PERIOD_GRID_RTOL, and an initial state exactly zero outside the
-    driven parity sector, it runs on that sector one drive period at a time
-    (_propagate_sector).  Every other input runs the full-space step loop
-    (_step_loop).
+    The series is computed on one of two paths.  With a drive with
+    drive_freq > 0, a step that divides the drive period to PERIOD_GRID_RTOL,
+    and an initial state exactly zero outside the driven parity sector, it
+    runs on that sector one drive period at a time (_propagate_sector).
+    Every other input runs the full-space step loop (_step_loop).
     """
     if space.atom_levels != 3:
         raise ValueError("propagation runs on the 3-level space")
@@ -268,7 +262,7 @@ def propagate(
     even = np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) > 0
     sector = np.concatenate([even, even[space.n_photon :]])
     n_per = _steps_per_period(params, config.dt)
-    if config.method == "magnus4" and n_per and not np.any(initial[~sector]):
+    if n_per and not np.any(initial[~sector]):
         return _propagate_sector(params, space, config, initial, keep_states, sector, n_per)
     return _step_loop(params, space, config, initial, keep_states)
 
@@ -289,8 +283,19 @@ def _norm_drift(
     within = f" +- {slack:.1e}" if slack else ""
     return NormDriftError(
         f"norm drifted to {nrm:.12f}{within} at t={t:.4f} "
-        f"(tolerance {config.norm_tol:g}, method {config.method})"
+        f"(tolerance {config.norm_tol:g})"
     )
+
+
+def _cf4_gammas(params: ModelParams, t: float, dt: float) -> tuple[float, float]:
+    """Drive strengths (gamma_a, gamma_b) of the two CF4 factors of the step from t.
+
+    The step is exp(-i (dt/2) (H_static + gamma_b V)) exp(-i (dt/2) (H_static
+    + gamma_a V)), so the factor of gamma_a is applied first.
+    """
+    c1 = params.drive_amp * np.cos(params.drive_freq * (t + _GAUSS_C1 * dt))
+    c2 = params.drive_amp * np.cos(params.drive_freq * (t + _GAUSS_C2 * dt))
+    return 2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2), 2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)
 
 
 def _propagate_sector(
@@ -302,7 +307,7 @@ def _propagate_sector(
     sector: np.ndarray,
     n_per: int,
 ) -> TimeSeries:
-    """magnus4 on the driven parity sector, one folded drive period at a time.
+    """CF4 on the driven parity sector, one folded drive period at a time.
 
     The Rabi coupling and the drive keep {|g,even>, |e,odd>, |f,odd>} closed,
     so the state never leaves it and parity_leak is exactly 0 by construction.
@@ -348,7 +353,6 @@ def _propagate_sector(
     h_s = sector_block(static_hamiltonian(params, space))
     v_s = sector_block(drive_operator(space))
     dt = config.dt
-    amp, freq = params.drive_amp, params.drive_freq
     dim = h_s.shape[0]
 
     if n_per % 2:
@@ -364,10 +368,7 @@ def _propagate_sector(
 
     def step(x: np.ndarray, r: int) -> np.ndarray:
         """Apply CF4 step r of the period to x, the float view of complex columns."""
-        t = r * dt
-        c1 = amp * np.cos(freq * (t + _GAUSS_C1 * dt))
-        c2 = amp * np.cos(freq * (t + _GAUSS_C2 * dt))
-        for gamma in (2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2), 2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)):
+        for gamma in _cf4_gammas(params, r * dt, dt):
             w, q = np.linalg.eigh(h_s + gamma * v_s)
             y = (q.T @ x).view(complex)
             y *= np.exp(-0.5j * dt * w)[:, None]
@@ -478,10 +479,9 @@ def _step_loop(
 
     n_steps = max(1, int(round(config.t_end / config.dt)))
     dt = config.dt
-    # spectral-norm bound for the Taylor substep count
+    # spectral-norm bound for the Taylor substep count of a half-step factor
     h_norm = float(np.linalg.norm(h_static, 2)) + abs(params.drive_amp)
-    n_sub = max(1, ceil(h_norm * dt / _TAYLOR_THETA))
-    n_sub_half = max(1, ceil(h_norm * (dt / 2.0) / _TAYLOR_THETA))
+    n_sub = max(1, ceil(h_norm * (dt / 2.0) / _TAYLOR_THETA))
 
     def matvec_at(c: float):
         def mv(x: np.ndarray) -> np.ndarray:
@@ -514,21 +514,8 @@ def _step_loop(
     sample(0.0)
     t = 0.0
     for k in range(n_steps):
-        if config.method == "magnus4":
-            c1 = params.drive_amp * np.cos(params.drive_freq * (t + _GAUSS_C1 * dt))
-            c2 = params.drive_amp * np.cos(params.drive_freq * (t + _GAUSS_C2 * dt))
-            # each factor is exp(-i (dt/2) (H_static + gamma*V)) with gamma below
-            psi = _apply_exponential(
-                matvec_at(2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2)), dt / 2.0, psi, n_sub_half
-            )
-            psi = _apply_exponential(
-                matvec_at(2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)), dt / 2.0, psi, n_sub_half
-            )
-        elif config.method == "midpoint-exponential":
-            c = params.drive_amp * np.cos(params.drive_freq * (t + 0.5 * dt))
-            psi = _apply_exponential(matvec_at(c), dt, psi, n_sub)
-        else:
-            psi = _rk4_step(params, matvec_at, t, dt, psi)
+        for gamma in _cf4_gammas(params, t, dt):
+            psi = _apply_exponential(matvec_at(gamma), dt / 2.0, psi, n_sub)
         t = (k + 1) * dt
         if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
             sample(t)
@@ -542,18 +529,6 @@ def _step_loop(
         parity_leak=np.array(leaks),
         states=np.array(states) if states is not None else None,
     )
-
-
-def _rk4_step(params: ModelParams, matvec_at, t: float, dt: float, psi: np.ndarray) -> np.ndarray:
-    def rhs(tt: float, y: np.ndarray) -> np.ndarray:
-        c = params.drive_amp * np.cos(params.drive_freq * tt)
-        return -1j * matvec_at(c)(y)
-
-    k1 = rhs(t, psi)
-    k2 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, psi + 0.5 * dt * k2)
-    k4 = rhs(t + dt, psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)

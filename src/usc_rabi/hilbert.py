@@ -89,12 +89,6 @@ def annihilation(space: SpaceDescriptor) -> np.ndarray:
     return np.kron(np.eye(space.atom_levels), a_fock)
 
 
-def number_operator(space: SpaceDescriptor) -> np.ndarray:
-    """Photon number operator a^dag a (diagonal)."""
-    a = annihilation(space)
-    return a.conj().T @ a
-
-
 def atomic_op(space: SpaceDescriptor, bra_level: str, ket_level: str) -> np.ndarray:
     """Atomic transition operator |bra_level><ket_level| (x) identity on the Fock factor."""
     proj = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)

@@ -29,6 +29,8 @@ from .rabi_core import ModelParams, build_h_rabi
 
 FIXED_POINT_RESIDUAL_TOL = 1e-12
 FIXED_POINT_MAX_ITER = 200
+# plain fixed-point steps before solve_xi_eta switches to Newton
+_PLAIN_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -52,17 +54,36 @@ class PolaronParams:
 
 
 def solve_xi_eta(params: ModelParams) -> PolaronParams:
-    """Solve the (xi, eta) self-consistent pair by fixed-point iteration from eta=1.
+    """Solve the (xi, eta) self-consistent pair: the root the iteration from eta=1 reaches.
 
-    Raises RuntimeError if the residuals have not dropped below 1e-12 after
-    200 iterations (does not happen for coupling/omega_c <= 1).
+    Eliminating xi leaves f(eta) = eta - exp(-2 coupling^2 xi(eta)^2 / omega_c^2),
+    with f(0) < 0 <= f(1).  The fixed-point iteration eta <- exp(...) from
+    eta = 1 falls monotonically to the largest root, but its slope there can
+    come close to 1 (0.926 at omega0 = 2, coupling = 1.25).  So after 50
+    plain steps it takes Newton steps on f instead, bisecting a bracket
+    [lo, hi] with f(lo) < 0 < f(hi) when a step leaves it.  In
+    u = omega_c + eta*omega0 the exponential is convex below
+    u = 2 coupling / sqrt(3) and concave above, so f is concave, then convex.
+    With three roots the largest lies in the convex part, where Newton from
+    above stays above it; with one, f increases up to it and any bracket
+    holds only that root.
+
+    Raises ValueError if the residuals have not dropped below 1e-12 after
+    200 steps.
     """
     wc, w0, lam = params.omega_c, params.omega0, params.coupling
-    eta = 1.0
+    lo, hi, eta = 0.0, 1.0, 1.0
     xi = wc / (wc + eta * w0)
-    for _ in range(FIXED_POINT_MAX_ITER):
+    for k in range(FIXED_POINT_MAX_ITER):
         xi = wc / (wc + eta * w0)
         eta_next = np.exp(-2.0 * lam**2 * xi**2 / wc**2)
+        if k >= _PLAIN_STEPS:
+            f = eta - eta_next
+            lo, hi = (lo, eta) if f > 0 else (eta, hi)
+            slope = 1.0 - 4.0 * lam**2 * xi**3 * w0 / wc**3 * eta_next
+            eta_next = eta - f / slope if slope > 0 else -1.0
+            if not lo <= eta_next <= hi:
+                eta_next = 0.5 * (lo + hi)
         converged = abs(eta_next - eta) < 1e-15
         eta = eta_next
         if converged:
@@ -70,8 +91,9 @@ def solve_xi_eta(params: ModelParams) -> PolaronParams:
     res_xi = abs(xi - wc / (wc + eta * w0))
     res_eta = abs(eta - np.exp(-2.0 * lam**2 * xi**2 / wc**2))
     if res_xi > FIXED_POINT_RESIDUAL_TOL or res_eta > FIXED_POINT_RESIDUAL_TOL:
-        raise RuntimeError(
-            f"fixed point did not converge: residuals ({res_xi:.3e}, {res_eta:.3e})"
+        raise ValueError(
+            f"(xi, eta) fixed point did not converge at omega0={w0:g}, "
+            f"lambda={lam:g}: residuals ({res_xi:.3e}, {res_eta:.3e})"
         )
     omega0_prime = eta * w0
     return PolaronParams(

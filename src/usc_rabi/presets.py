@@ -60,6 +60,14 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     return path
 
 
+def _checked(fn, *args):
+    """fn(*args), with a ValueError it raises for these inputs reported as a config error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _spectrum_pair(params: ModelParams, n_max: int) -> tuple[rabi_core.SpectrumResult, ...]:
     """Exact spectra at n_max and at 2*n_max, the truncation-doubling pair."""
     return tuple(rabi_core.solve_spectrum(params, make_space(n, 2)) for n in (n_max, 2 * n_max))
@@ -126,11 +134,11 @@ def _resolve(
     else:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
     omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec, n=1, mode="exact")
-    psi0, _ = rabi_core.ground_state(spec)
+    psi0, _ = _checked(rabi_core.ground_state, spec)
     return _Run(
         params=replace(params, drive_freq=omega_p),
         spec=spec,
-        pol=polaron.solve_xi_eta(params),
+        pol=_checked(polaron.solve_xi_eta, params),
         initial=dynamics.embed_ground_state(psi0),
         space3=make_space(cfg.n_max, 3),
         spec2=spec2,
@@ -155,13 +163,8 @@ def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dy
         dt=cfg.dt,
         sample_every=cfg.sample_every,
         norm_tol=cfg.norm_tol,
-        method=cfg.method,
     )
-    # the same bound propagate enforces, reported as a config error
-    try:
-        dynamics.check_dt(params, prop.dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _checked(dynamics.check_dt, params, prop.dt)  # the bound propagate enforces
     return prop
 
 
@@ -181,7 +184,7 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
             spec = guarded_spectrum(params, cfg.n_max, label=f"lambda={lam:g}")
         except ConvergenceGuardError as exc:
             raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
-        pol = polaron.solve_xi_eta(params)
+        pol = _checked(polaron.solve_xi_eta, params)
         cols["lambda"].append(lam)
         cols["c10_exact"].append(rabi_core.dressed_amplitude(spec, 1).real)
         cols["c10_approx"].append(polaron.c10_approx(params, pol))
@@ -244,7 +247,7 @@ def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
         provenance[f"g_eigenbasis_Omega{tag}"] = model.coupling
     provenance.update(
         {"t_end": prop.t_end, "dt": prop.dt, "sample_every": prop.sample_every,
-         "method": prop.method, "Omega_list": ",".join(f"{o:g}" for o in omegas)}
+         "method": "magnus4", "Omega_list": ",".join(f"{o:g}" for o in omegas)}
     )
     return _write_result(cfg, provenance, cols)
 
@@ -317,7 +320,7 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
         series = dynamics.propagate(run.params, space, prop, initial)
         return float(series.p_f1.max()), prop.dt
 
-    psi0_2n, _ = rabi_core.ground_state(spec2)
+    psi0_2n, _ = _checked(rabi_core.ground_state, spec2)
     p_base, dt_base = peak(run.space3, run.initial, 1.0)
     p_2n, _ = peak(make_space(2 * cfg.n_max, 3), dynamics.embed_ground_state(psi0_2n), 1.0)
     p_half, dt_half = peak(run.space3, run.initial, 0.5)

@@ -198,10 +198,3 @@ def dressed_amplitude(spectrum: SpectrumResult, n: int, m: int = 0) -> complex:
         raise ValueError(f"photon index {n} outside truncation [0, {spectrum.space.n_max}]")
     idx = spectrum.space.index("e", n)
     return complex(np.conj(spectrum.eigenvectors[idx, m]))
-
-
-def dressed_amplitude_matrix(spectrum: SpectrumResult) -> np.ndarray:
-    """Matrix c[n, m] = <psi_m|e,n> for all photon numbers and eigenstates."""
-    nph = spectrum.space.n_photon
-    rows = [spectrum.space.index("e", n) for n in range(nph)]
-    return np.conj(spectrum.eigenvectors[rows, :])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usc_rabi import dynamics, polaron
 from usc_rabi.cli import main
 from usc_rabi.config import (
     ConfigError,
@@ -34,11 +36,11 @@ class TestConfigParsing:
             "lambda = 0.3\n"
             "Omega = 0.2\n"
             "n_max = 12\n"
-            "method = rk4\n",
+            "norm_tol = 1e-10\n",
         )
         raw = parse_config_file(path)
         assert raw == {
-            "omega0": 1.0, "lambda": 0.3, "Omega": 0.2, "n_max": 12, "method": "rk4",
+            "omega0": 1.0, "lambda": 0.3, "Omega": 0.2, "n_max": 12, "norm_tol": 1e-10,
         }
 
     def test_unknown_key(self, tmp_path):
@@ -296,12 +298,62 @@ class TestExitCodes:
         assert main(["convergence-report", "--config", str(cfg),
                      "--out", str(tmp_path / "s.csv")]) == 0
 
-    def test_refinement_guard_failure(self, tmp_path):
-        # the midpoint rule at the default step is not pointwise-converged
-        # on a window edge; the report must catch that and exit 2
-        cfg = _write(tmp_path, "mid.cfg", "n_max = 8\nt_end = 20\nmethod = midpoint-exponential\n")
-        assert main(["convergence-report", "--config", str(cfg),
-                     "--out", str(tmp_path / "m.csv")]) == 2
+    def test_refinement_guard_failure(self, tmp_path, monkeypatch, capsys):
+        # magnus4 moves the peak by about 1e-10 under dt halving, so shift the
+        # halved-step run (400 steps per drive period) by 1e-5 to trip the guard
+        propagate = dynamics.propagate
+
+        def shifted(params, space, config, initial, **kwargs):
+            series = propagate(params, space, config, initial, **kwargs)
+            if round(2.0 * np.pi / (params.drive_freq * config.dt)) == 400:
+                series = dataclasses.replace(series, p_f1=series.p_f1 + 1e-5)
+            return series
+
+        monkeypatch.setattr(dynamics, "propagate", shifted)
+        cfg = _write(tmp_path, "dt2.cfg", "n_max = 8\nt_end = 20\n")
+        out = tmp_path / "dt2.csv"
+        assert main(["convergence-report", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "max_p_f1 dt 1.000e-05" in capsys.readouterr().err
+        names, data = _read_columns(out)
+        assert data[2, names.index("max_p_f1")] - data[0, names.index("max_p_f1")] == (
+            pytest.approx(1e-5, abs=1e-9))
+
+    @pytest.mark.parametrize("method", ["rk4", "magnus4"])
+    def test_removed_method_key_is_config_error(self, tmp_path, capsys, method):
+        cfg = _write(tmp_path, "m.cfg", f"n_max = 8\nt_end = 5\nmethod = {method}\n")
+        assert main(["two-state-compare", "--config", str(cfg),
+                     "--out", str(tmp_path / "m.csv")]) == 3
+        assert "unknown key 'method'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["two-state-compare", "fig2-sweep"])
+    def test_slow_polaron_fixed_point_runs(self, tmp_path, preset):
+        # the plain (xi, eta) iteration contracts by only 0.926 per step at
+        # lambda = 1.25; 200 steps left it off the root for lambda 1.24-1.26
+        text = "omega0 = 2\nlambda = 1.25\n"
+        if preset == "fig2-sweep":
+            text = ("omega0 = 2\nsweep_variable = lambda\nsweep_start = 1.2\n"
+                    "sweep_stop = 1.3\nsweep_steps = 11\n")
+        cfg = _write(tmp_path, "pol.cfg", text)
+        out = tmp_path / "pol.csv"
+        assert main([preset, "--config", str(cfg), "--out", str(out)]) == 0
+        names, data = _read_columns(out)
+        if preset == "fig2-sweep":
+            assert np.all((data[:, names.index("eta")] > 0) & (data[:, names.index("eta")] < 1))
+
+    def test_unsolved_polaron_fixed_point_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(polaron, "FIXED_POINT_MAX_ITER", 3)
+        cfg = _write(tmp_path, "pol.cfg", "omega0 = 2\nlambda = 1.25\nt_end = 5\n")
+        assert main(["two-state-compare", "--config", str(cfg),
+                     "--out", str(tmp_path / "pol.csv")]) == 3
+        assert "fixed point did not converge at omega0=2, lambda=1.25: residuals (" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("preset", ["two-state-compare", "convergence-report"])
+    def test_degenerate_ground_level_is_config_error(self, tmp_path, capsys, preset):
+        # at lambda = 4 the two parity ground levels meet to 1.4e-14
+        cfg = _write(tmp_path, "deg.cfg", "lambda = 4\nn_max = 80\nt_end = 1\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
+        assert "ground level is degenerate within tolerance (gap " in capsys.readouterr().err
 
     def test_refinement_guard_failure_still_writes_csv(self, tmp_path, capsys):
         # at n_max = 4, lambda = 0.8 the ground energy moves 7.3e-4 under

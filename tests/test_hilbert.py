@@ -12,7 +12,6 @@ from usc_rabi import (
     eigh,
     make_space,
     matrix_exponential,
-    number_operator,
     solve_xi_eta,
 )
 from conftest import random_hermitian
@@ -54,11 +53,6 @@ class TestAnnihilation:
         space = make_space(6, 2)
         a = annihilation(space)
         assert np.allclose(a @ space.basis_state("g", 0), 0.0)
-
-    def test_number_operator_eigenvalue(self):
-        space = make_space(6, 3)
-        ket = space.basis_state("e", 3)
-        assert np.allclose(number_operator(space) @ ket, 3.0 * ket)
 
     def test_band_sparsity(self):
         # nonzeros only on the (n, n+1) Fock band within each atomic block

@@ -66,6 +66,35 @@ class TestFixedPoint:
         assert 0.0 < pol.eta <= 1.0
         assert 0.0 < pol.xi <= 1.0
 
+    @staticmethod
+    def _plain_iteration(lam, omega0, max_iter):
+        """The eta <- exp(-2 lam^2 xi^2) iteration from eta = 1; eta None if not converged."""
+        eta = 1.0
+        for _ in range(max_iter):
+            xi = 1.0 / (1.0 + eta * omega0)
+            eta_next = np.exp(-2.0 * lam**2 * xi**2)
+            converged = abs(eta_next - eta) < 1e-15
+            eta = eta_next
+            if converged:
+                return xi, eta
+        return xi, None
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(0.0, 3.0), omega0=st.floats(0.05, 5.0))
+    def test_agrees_with_plain_iteration(self, lam, omega0):
+        xi, eta = self._plain_iteration(lam, omega0, 200)
+        if eta is not None:
+            pol = solve_xi_eta(ModelParams(omega0=omega0, coupling=lam))
+            assert abs(pol.xi - xi) < 1e-14 and abs(pol.eta - eta) < 1e-14
+
+    # slope 0.926 at the single root; three roots (0.077, 0.229, 0.421)
+    @pytest.mark.parametrize("lam, omega0", [(1.25, 2.0), (1.35, 2.5)])
+    def test_slow_contraction_reaches_the_plain_iteration_root(self, lam, omega0):
+        pol = solve_xi_eta(ModelParams(omega0=omega0, coupling=lam))
+        xi, eta = self._plain_iteration(lam, omega0, 5000)
+        assert abs(pol.eta - eta) < 1e-13 and abs(pol.xi - xi) < 1e-13
+        assert abs(pol.eta - np.exp(-2.0 * lam**2 * pol.xi**2)) < 1e-15
+
 
 class TestGenerator:
     def test_zero_coupling_gives_identity(self):

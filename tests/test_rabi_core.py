@@ -8,7 +8,6 @@ from usc_rabi import (
     SpectrumResult,
     build_h_rabi,
     dressed_amplitude,
-    dressed_amplitude_matrix,
     ground_state,
     make_space,
     parity_labels,
@@ -121,8 +120,8 @@ class TestDressedAmplitudes:
             dressed_amplitude(spectrum, spectrum.space.n_max + 1)
 
     def test_completeness(self, spectrum):
-        c = dressed_amplitude_matrix(spectrum)
-        weights = np.sum(np.abs(c) ** 2, axis=1)
+        rows = [spectrum.space.index("e", n) for n in range(spectrum.space.n_photon)]
+        weights = np.sum(np.abs(spectrum.eigenvectors[rows]) ** 2, axis=1)
         for n in range(spectrum.space.n_max // 2 + 1):
             assert weights[n] == pytest.approx(1.0, abs=1e-8)
 

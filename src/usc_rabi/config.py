@@ -168,6 +168,12 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
             f"{' or '.join(_SWEEP_VARIABLES[preset])}, not {sweep.variable!r}"
         )
 
+    # the swept key's own bound, checked on the grid's lowest point
+    if sweep is not None and sweep.variable == "lambda" and sweep.start < 0:
+        raise ConfigError(f"a lambda sweep must start at lambda >= 0, got {sweep.start}")
+    if sweep is not None and sweep.variable == "omega_p" and sweep.start <= 0:
+        raise ConfigError(f"an omega_p sweep must start at omega_p > 0, got {sweep.start}")
+
     if "Omega_list" in raw and preset != "fig3-evolve":
         raise ConfigError("Omega_list applies to the fig3-evolve preset only")
 

@@ -38,9 +38,13 @@ start state:
   through it.  Each sample is P_r applied to a segment start, forward, or
   backward by conjugation from the next one, with r at most that quarter
   period, so it is read off a few probe rows of P_r recorded by the pass:
-  at the default T/200 a propagation makes 100 eigendecompositions.  The
-  norm reported is that of the segment start, and the drift guard adds the
-  recorded unitarity defect of P_r, so it bounds the true drift from above.
+  at the default T/200 a propagation makes 100 eigendecompositions.  Each
+  step's drive strengths come from its phase on the period grid, not from
+  drive_freq, so propagations at several drive frequencies with the same
+  steps per period can share their eigendecompositions through the
+  factors argument of propagate.  The norm reported is that of the segment
+  start, and the drift guard adds the recorded unitarity defect of P_r, so
+  it bounds the true drift from above.
 - step loop: every other input (a step off the period grid, no drive
   frequency, a state with weight outside the sector)
   steps the full 3-level space, applying each exponential to the state by an
@@ -50,7 +54,8 @@ start state:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from math import ceil
 
 import numpy as np
@@ -103,7 +108,9 @@ class PropagationConfig:
 def default_config(params: ModelParams, t_end: float, **overrides) -> PropagationConfig:
     """Propagation defaults: dt = 2*pi/(200*drive_freq), >= 2000 samples."""
     if params.drive_freq <= 0:
-        raise ValueError("default propagation grid needs drive_freq > 0")
+        raise ValueError(
+            f"default propagation grid needs drive_freq > 0, got {params.drive_freq:g}"
+        )
     dt = overrides.pop("dt", None) or 2.0 * np.pi / (
         DEFAULT_STEPS_PER_DRIVE_CYCLE * params.drive_freq
     )
@@ -234,6 +241,7 @@ def propagate(
     config: PropagationConfig,
     initial: np.ndarray,
     keep_states: bool = False,
+    factors: dict | None = None,
 ) -> TimeSeries:
     """Propagate the driven Schroedinger equation and sample observables.
 
@@ -247,6 +255,13 @@ def propagate(
     and an initial state exactly zero outside the driven parity sector, it
     runs on that sector one drive period at a time (_propagate_sector).
     Every other input runs the full-space step loop (_step_loop).
+
+    factors is an optional caller-owned dict in which the sector path keeps
+    the eigendecompositions of its quarter period of half-step factors.  On
+    the period grid they depend on the sector matrices, drive_amp and the
+    steps per period alone, not on drive_freq or dt, so calls that share
+    those reuse them; a call with any other key replaces them.  Without it
+    each eigendecomposition is dropped once applied.
     """
     if space.atom_levels != 3:
         raise ValueError("propagation runs on the 3-level space")
@@ -263,7 +278,9 @@ def propagate(
     sector = np.concatenate([even, even[space.n_photon :]])
     n_per = _steps_per_period(params, config.dt)
     if n_per and not np.any(initial[~sector]):
-        return _propagate_sector(params, space, config, initial, keep_states, sector, n_per)
+        return _propagate_sector(
+            params, space, config, initial, keep_states, sector, n_per, factors
+        )
     return _step_loop(params, space, config, initial, keep_states)
 
 
@@ -306,6 +323,7 @@ def _propagate_sector(
     keep_states: bool,
     sector: np.ndarray,
     n_per: int,
+    factors: dict | None = None,
 ) -> TimeSeries:
     """CF4 on the driven parity sector, one folded drive period at a time.
 
@@ -343,6 +361,11 @@ def _propagate_sector(
     |1 - ||c||| + d_r ||c|| > norm_tol, an upper bound on the true drift.
     With keep_states the identity is appended to W, so the states are read
     off the same products.
+
+    The drive strengths of step r come from its grid phases 2*pi*(r + c_k)/n_per,
+    the periodicity the fold already assumes, so the factors' (w, q) depend on
+    (h_s, v_s, drive_amp, n_per) alone; factors, when given, keeps them under
+    that key (see propagate).
     """
     def sector_block(m: np.ndarray) -> np.ndarray:
         if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
@@ -366,10 +389,27 @@ def _propagate_sector(
         n_seg, m_sign = n_per // 2, s_sign
     n_mid = (n_seg + 1) // 2
 
-    def step(x: np.ndarray, r: int) -> np.ndarray:
-        """Apply CF4 step r of the period to x, the float view of complex columns."""
-        for gamma in _cf4_gammas(params, r * dt, dt):
-            w, q = np.linalg.eigh(h_s + gamma * v_s)
+    # step r on a clock that ticks once per step: the Gauss-node phases are
+    # 2*pi*(r + c_k)/n_per, the same for every drive_freq on this grid
+    grid = replace(params, drive_freq=2.0 * np.pi / n_per)
+
+    def half_steps():
+        for r in range(n_mid):
+            for gamma in _cf4_gammas(grid, r, 1.0):
+                yield np.linalg.eigh(h_s + gamma * v_s)
+
+    if factors is None:
+        pairs = half_steps()
+    else:
+        key = (h_s.tobytes(), v_s.tobytes(), params.drive_amp, n_per)
+        if factors.get("key") != key:
+            factors.clear()
+            factors.update(key=key, pairs=list(half_steps()))
+        pairs = iter(factors["pairs"])
+
+    def step(x: np.ndarray) -> np.ndarray:
+        """Apply the next CF4 step of the pass to x, the float view of complex columns."""
+        for w, q in islice(pairs, 2):
             y = (q.T @ x).view(complex)
             y *= np.exp(-0.5j * dt * w)[:, None]
             x = q @ y.view(float)
@@ -407,7 +447,7 @@ def _propagate_sector(
     p_lo = p = eye.astype(complex).view(float)
     for r in range(n_mid + 1):
         if r:
-            p_lo, p = p, step(p, r - 1)
+            p_lo, p = p, step(p)
         if needed[r]:
             pr = p.view(complex)
             rows[r] = probe @ pr

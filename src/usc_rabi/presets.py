@@ -60,10 +60,10 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     return path
 
 
-def _checked(fn, *args):
-    """fn(*args), with a ValueError it raises for these inputs reported as a config error."""
+def _checked(fn, *args, **kwargs):
+    """Call fn; a ValueError it raises for these inputs is reported as a config error."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -157,7 +157,8 @@ def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dy
             "the effective transfer coupling vanishes here (no finite Rabi "
             "period); set t_end explicitly"
         )
-    prop = dynamics.default_config(
+    prop = _checked(
+        dynamics.default_config,
         params,
         t_end=horizon,
         dt=cfg.dt,
@@ -277,11 +278,14 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
     else:
         points = [(float(wp), 1.05 * t_half[1]) for wp in grid]
 
+    # on the default grid every point has the same steps per drive period, so
+    # all share one set of sector factors
+    factors: dict = {}
     cols: dict = {"omega_p": [], "max_p_f1": [], "max_p_f3": []}
     for omega_p, t_end in points:
         params = replace(p, drive_freq=omega_p)
         prop = _prop_config(cfg, params, t_end)
-        series = dynamics.propagate(params, run.space3, prop, run.initial)
+        series = dynamics.propagate(params, run.space3, prop, run.initial, factors=factors)
         cols["omega_p"].append(omega_p)
         cols["max_p_f1"].append(float(series.p_f1.max()))
         cols["max_p_f3"].append(float(series.p_f3.max()))

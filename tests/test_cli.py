@@ -403,6 +403,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == from_file
         assert f"config error: {key} must be" in from_file
 
+    @pytest.mark.parametrize("preset, sweep, message", [
+        ("fig2-sweep", "lambda, -0.2, 0.3", "a lambda sweep must start at lambda >= 0, got -0.2"),
+        ("resonance-scan", "omega_p, 0.0, 4.6",
+         "an omega_p sweep must start at omega_p > 0, got 0.0"),
+        ("resonance-scan", "omega_p, -1.0, 4.6",
+         "an omega_p sweep must start at omega_p > 0, got -1.0"),
+        # every channel frequency omega_f + n - E0 + offset is below 0
+        ("resonance-scan", "delta_omega_p, -6, -5",
+         "default propagation grid needs drive_freq > 0, got -"),
+    ])
+    def test_sweep_outside_its_key_range_is_config_error(self, tmp_path, capsys, preset, sweep,
+                                                         message):
+        variable, start, stop = sweep.split(", ")
+        cfg = _write(tmp_path, "sw.cfg",
+                     f"n_max = 8\nt_end = 1\nsweep_variable = {variable}\n"
+                     f"sweep_start = {start}\nsweep_stop = {stop}\nsweep_steps = 3\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "sw.csv")]) == 3
+        assert message in capsys.readouterr().err
+
     def test_guard_exception_carries_offending_point(self):
         cfg = build_config(
             "fig2-sweep",
@@ -459,4 +478,28 @@ class TestConfigExtremes:
         text += "".join(f"{key} = {value!r}\n" for key, value in
                         (("dt", dt), ("omega_p", omega_p)) if value is not None)
         cfg = _write(tmp, "x.cfg", text)
+        assert main([preset, "--config", str(cfg), "--out", str(tmp / "x.csv")]) in (0, 2, 3)
+
+    # sweep bounds on both sides of each swept key's range; n_max <= 8 and
+    # t_end <= 1 keep a draw that runs to well under a second
+    @settings(max_examples=6, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [("fig2-sweep", "lambda"), ("resonance-scan", "delta_omega_p"),
+             ("resonance-scan", "omega_p")]),
+        start=st.one_of(st.floats(-8.0, 8.0), st.floats(-0.1, 0.1)),
+        width=st.floats(1e-3, 4.0),
+        steps=st.integers(2, 3),
+        n_max=st.integers(3, 8),
+        t_end=st.floats(0.05, 1.0),
+    )
+    def test_sweep_bounds_exit_code_is_documented(self, tmp_path_factory, case, start, width,
+                                                  steps, n_max, t_end):
+        preset, variable = case
+        tmp = tmp_path_factory.mktemp("sweep")
+        cfg = _write(
+            tmp, "x.cfg",
+            f"lambda = 0.1\nn_max = {n_max}\nt_end = {t_end!r}\nsweep_variable = {variable}\n"
+            f"sweep_start = {start!r}\nsweep_stop = {start + width!r}\nsweep_steps = {steps}\n",
+        )
         assert main([preset, "--config", str(cfg), "--out", str(tmp / "x.csv")]) in (0, 2, 3)

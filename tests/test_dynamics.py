@@ -13,11 +13,13 @@ from usc_rabi import (
     default_config,
     embed_ground_state,
     ground_state,
+    load_experiment,
     make_space,
     model_from_eigenbasis,
     propagate,
     rabi_extract,
     resonance_frequency,
+    run_preset,
     solve_spectrum,
 )
 from usc_rabi import dynamics
@@ -271,6 +273,11 @@ def _sector_mask(space):
     return mask
 
 
+def _embedded_ground(base, n_max):
+    psi0, _ = ground_state(solve_spectrum(base, make_space(n_max, 2)))
+    return embed_ground_state(psi0)
+
+
 def _fields(series):
     return {f: getattr(series, f) for f in FIELDS if getattr(series, f) is not None}
 
@@ -326,6 +333,31 @@ class TestSectorFloquet:
         if keep:
             assert np.all(fast.states[:, ~_sector_mask(space)] == 0.0)
 
+        # strengths from the step's time r*dt, as _step_loop computes them,
+        # instead of from its grid phase: the two differ by rounding alone
+        gammas = dynamics._cf4_gammas
+        monkeypatch.setattr(dynamics, "_cf4_gammas",
+                            lambda _grid, r, _one: gammas(params, r * cfg.dt, cfg.dt))
+        timed = _fields(propagate(params, space, cfg, initial, keep_states=keep))
+        for name in got:
+            assert np.max(np.abs(got[name] - timed[name])) < 1e-12, name
+
+    def test_dt_on_the_grid_within_its_tolerance(self, small_setup, monkeypatch):
+        # the strengths assume dt = T/n_per exactly; a dt off it by less than
+        # PERIOD_GRID_RTOL still takes the sector path and agrees with the loop
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.3, omega_p)
+        period = 2.0 * np.pi / omega_p
+        dt = period / 200 * (1.0 + 4e-13)
+        assert dynamics._steps_per_period(params, dt) == 200
+        cfg = PropagationConfig(t_end=4.3 * period, dt=dt, sample_every=3)
+        space = make_space(N_SMALL, 3)
+        oracle = _fields(dynamics._step_loop(params, space, cfg, initial, keep_states=True))
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        got = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        for name in oracle:
+            assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
+
     @pytest.mark.parametrize("n_per", [200, 201])
     def test_matches_step_loop_from_f_weighted_state(self, small_setup, monkeypatch, n_per):
         # S = diag(+1 on g, e; -1 on f) and the conjugation of the mirrored
@@ -364,6 +396,87 @@ class TestSectorFloquet:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         propagate(params, make_space(N_SMALL, 3), cfg, initial)
         assert 0 < len(calls) <= 100
+
+    def test_shared_factors_serve_every_drive_frequency(self, small_setup, monkeypatch):
+        # on the default grid the factors do not depend on omega_p, so a
+        # resonance scan builds one pass's worth, n_per / 2, for all its points
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        space = make_space(N_SMALL, 3)
+        eigh, calls = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        factors: dict = {}
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for wp in (omega_p - 0.05, omega_p, omega_p + 1.0):
+            driven = _driven(base, 0.2, wp)
+            cfg = default_config(driven, t_end=3.0)
+            shared = _fields(propagate(driven, space, cfg, initial, factors=factors))
+            alone = _fields(propagate(driven, space, cfg, initial))
+            assert all(np.array_equal(shared[f], alone[f]) for f in alone)
+        assert len(calls) == 100 + 3 * 100
+
+    def test_resonance_scan_builds_one_pass_of_factors(self, tmp_path, monkeypatch):
+        text = ("n_max = 8\nOmega = 0.4\nt_end = 3\nsweep_variable = delta_omega_p\n"
+                "sweep_start = -0.05\nsweep_stop = 0.05\nsweep_steps = 2\n")
+        path = tmp_path / "rs.cfg"
+        path.write_text(text, encoding="utf-8")
+        cfg = load_experiment("resonance-scan", config_path=path, out=tmp_path / "rs.csv")
+        eigh, calls = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        propagations = []
+        propagate_fn = dynamics.propagate
+
+        def counting_propagate(*args, **kwargs):
+            propagations.append(args[2].dt)
+            return propagate_fn(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(dynamics, "propagate", counting_propagate)
+        run_preset(cfg)
+        assert len(propagations) == 6
+        assert len(calls) == dynamics.DEFAULT_STEPS_PER_DRIVE_CYCLE // 2
+
+    def test_reused_factors_give_the_unshared_result(self, small_setup, monkeypatch):
+        # one memo across calls that change each part of its key, and back:
+        # every call rebuilds what it needs and matches a call without one
+        base, _, initial, omega_p = small_setup
+        period = 2.0 * np.pi / omega_p
+        static = dynamics.static_hamiltonian
+        cases = [
+            (0.2, 200, N_SMALL, False),
+            (0.3, 200, N_SMALL, False),   # drive_amp
+            (0.3, 202, N_SMALL, False),   # n_per
+            (0.3, 202, 8, False),         # n_max
+            (0.3, 202, 8, True),          # the static Hamiltonian
+            (0.2, 200, N_SMALL, False),   # back to the first key
+        ]
+        factors: dict = {}
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        for amp, n_per, n_max, tilted in cases:
+            params = _driven(base, amp, omega_p)
+            space = make_space(n_max, 3)
+            if tilted:
+                h = static(params, space)
+                h[space.index("f", 1), space.index("f", 1)] += 1e-3
+                monkeypatch.setattr(dynamics, "static_hamiltonian", lambda *args, h=h: h)
+            else:
+                monkeypatch.setattr(dynamics, "static_hamiltonian", static)
+            start = initial if n_max == N_SMALL else _embedded_ground(base, n_max)
+            cfg = PropagationConfig(t_end=2.3 * period, dt=period / n_per, sample_every=4)
+            shared = _fields(propagate(params, space, cfg, start, keep_states=True,
+                                       factors=factors))
+            alone = _fields(propagate(params, space, cfg, start, keep_states=True))
+            assert all(np.array_equal(shared[f], alone[f]) for f in alone), (amp, n_per, n_max)
 
     def test_rejects_hamiltonian_without_half_period_symmetry(self, small_setup, monkeypatch):
         # e-f coupling inside the sector keeps it closed but breaks S H S = H,

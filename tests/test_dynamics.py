@@ -282,6 +282,19 @@ def _fields(series):
     return {f: getattr(series, f) for f in FIELDS if getattr(series, f) is not None}
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigh calls made while the test runs."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("propagate took the wrong path")
 
@@ -379,72 +392,52 @@ class TestSectorFloquet:
         for name in oracle:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
 
-    def test_folded_period_builds_each_factor_once(self, small_setup, monkeypatch):
+    def test_folded_period_builds_each_factor_once(self, small_setup, monkeypatch, eigh_calls):
         # 2 * n_per half-step factors per period; the two symmetries leave
         # n_per / 2 distinct ones, and the single pass builds each once
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=3.3 * period, dt=2.0 * np.pi / (200 * omega_p))
-        eigh, calls = np.linalg.eigh, []
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         propagate(params, make_space(N_SMALL, 3), cfg, initial)
-        assert 0 < len(calls) <= 100
+        assert 0 < len(eigh_calls) <= 100
 
-    def test_shared_factors_serve_every_drive_frequency(self, small_setup, monkeypatch):
+    def test_shared_factors_serve_every_drive_frequency(self, small_setup, monkeypatch,
+                                                        eigh_calls):
         # on the default grid the factors do not depend on omega_p, so a
         # resonance scan builds one pass's worth, n_per / 2, for all its points
         base, _, initial, omega_p = small_setup
-        params = _driven(base, 0.2, omega_p)
         space = make_space(N_SMALL, 3)
-        eigh, calls = np.linalg.eigh, []
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
         factors: dict = {}
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         for wp in (omega_p - 0.05, omega_p, omega_p + 1.0):
             driven = _driven(base, 0.2, wp)
             cfg = default_config(driven, t_end=3.0)
             shared = _fields(propagate(driven, space, cfg, initial, factors=factors))
             alone = _fields(propagate(driven, space, cfg, initial))
             assert all(np.array_equal(shared[f], alone[f]) for f in alone)
-        assert len(calls) == 100 + 3 * 100
+        assert len(eigh_calls) == 100 + 3 * 100
 
-    def test_resonance_scan_builds_one_pass_of_factors(self, tmp_path, monkeypatch):
+    def test_resonance_scan_builds_one_pass_of_factors(self, tmp_path, monkeypatch, eigh_calls):
+        # six points, one propagate call each, one pass's worth of factors
         text = ("n_max = 8\nOmega = 0.4\nt_end = 3\nsweep_variable = delta_omega_p\n"
                 "sweep_start = -0.05\nsweep_stop = 0.05\nsweep_steps = 2\n")
         path = tmp_path / "rs.cfg"
         path.write_text(text, encoding="utf-8")
         cfg = load_experiment("resonance-scan", config_path=path, out=tmp_path / "rs.csv")
-        eigh, calls = np.linalg.eigh, []
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
         propagations = []
         propagate_fn = dynamics.propagate
 
         def counting_propagate(*args, **kwargs):
-            propagations.append(args[2].dt)
+            propagations.append(args)
             return propagate_fn(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(dynamics, "propagate", counting_propagate)
         run_preset(cfg)
         assert len(propagations) == 6
-        assert len(calls) == dynamics.DEFAULT_STEPS_PER_DRIVE_CYCLE // 2
+        assert len(eigh_calls) == dynamics.DEFAULT_STEPS_PER_DRIVE_CYCLE // 2
 
     def test_reused_factors_give_the_unshared_result(self, small_setup, monkeypatch):
         # one memo across calls that change each part of its key, and back:

@@ -419,7 +419,8 @@ def _propagate_sector(
     # it is P_at applied to the start column of phi_base, conjugated when `back`
     n_steps = max(1, int(round(config.t_end / dt)))
     every = config.sample_every
-    marks = np.unique(np.r_[0, np.arange(every, n_steps + 1, every), n_steps])
+    # sorted and distinct without np.unique, which imports numpy.ma on first use
+    marks = np.append(np.arange(0, n_steps, every), n_steps)
     seg = np.maximum(marks - 1, 0) // n_seg
     s = marks - seg * n_seg
     back = s > n_mid

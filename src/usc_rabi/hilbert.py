@@ -3,8 +3,9 @@
 Basis ordering: the flattened index of |level, n> is level_ordinal*(n_max+1) + n
 with level ordinals g=0, e=1, f=2.  All operators are dense complex matrices and
 all energies are expressed in units of the cavity frequency (hbar = 1).  eigh
-keeps real input real and hands a real tridiagonal matrix to LAPACK's
-tridiagonal solver.
+is numpy's dense Hermitian solver and keeps real input real.  Nothing here
+imports scipy at module load: matrix_exponential imports scipy.linalg.expm
+when first called, and only the polaron frame helpers call it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal as _scipy_eigh_tridiagonal
-from scipy.linalg import expm as _scipy_expm
 
 ATOM_LEVELS = ("g", "e", "f")
 
@@ -98,10 +97,12 @@ def atomic_op(space: SpaceDescriptor, bra_level: str, ket_level: str) -> np.ndar
 
 def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(scale * m) via scaling-and-squaring; unitary to ~1e-13 for anti-Hermitian arguments."""
+    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
+
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    return _scipy_expm(scale * m)
+    return expm(scale * m)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -120,12 +121,8 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
     Rejects non-Hermitian input.  Real input stays real (orthogonal
-    eigenvectors); a real matrix with more than 2 rows and no entry above the
-    first superdiagonal goes to the tridiagonal solver
-    (scipy.linalg.eigh_tridiagonal), every other input to np.linalg.eigh.
+    eigenvectors).
     """
     m = np.asarray(m)
     require_hermitian(m)
-    if not np.iscomplexobj(m) and m.shape[0] > 2 and not np.any(np.triu(m, 2)):
-        return _scipy_eigh_tridiagonal(np.diag(m), np.diag(m, 1))
     return np.linalg.eigh(m)

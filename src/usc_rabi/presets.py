@@ -68,24 +68,21 @@ def _checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _spectrum_pair(params: ModelParams, n_max: int) -> tuple[rabi_core.SpectrumResult, ...]:
-    """Exact spectra at n_max and at 2*n_max, the truncation-doubling pair."""
-    return tuple(rabi_core.solve_spectrum(params, make_space(n, 2)) for n in (n_max, 2 * n_max))
-
-
 def guarded_spectrum(
     params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
 ) -> rabi_core.SpectrumResult:
-    """Diagonalize at n_max and at 2*n_max; reject if the reported quantities moved.
+    """Diagonalize at n_max; reject if the reported quantities move at 2*n_max.
 
     Guards the ground energy and |c_n0| for every n in `photons` (by default
-    the single-virtual-photon amplitude) to 1e-8.
+    the single-virtual-photon amplitude) to 1e-8.  The 2*n_max reference is
+    the ground pair alone; a degenerate ground level there is a config error.
     """
-    spec, spec2 = _spectrum_pair(params, n_max)
-    d_energy = abs(spec.ground_energy - spec2.ground_energy)
+    spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
+    space2 = make_space(2 * n_max, 2)
+    psi2, energy2 = _checked(rabi_core.ground_level, params, space2)
+    d_energy = abs(spec.ground_energy - energy2)
     d_amps = {
-        n: abs(abs(rabi_core.dressed_amplitude(spec, n))
-               - abs(rabi_core.dressed_amplitude(spec2, n)))
+        n: abs(abs(rabi_core.dressed_amplitude(spec, n)) - abs(psi2[space2.index("e", n)]))
         for n in photons
     }
     if d_energy > GUARD_TOL or max(d_amps.values()) > GUARD_TOL:
@@ -103,8 +100,9 @@ class _Run:
     """What the driven runs of one preset share.
 
     params carries the preset drive amplitude and the resolved omega_p: the
-    config value, else the exact 1-photon resonance omega_f + 1 - E0.  spec2,
-    the 2*n_max spectrum, is kept only when the pair is solved unguarded.
+    config value, else the exact 1-photon resonance omega_f + 1 - E0.  ground2,
+    the (psi_0, E0) pair at 2*n_max, is kept only when the pair is solved
+    unguarded.
     """
 
     params: ModelParams
@@ -112,7 +110,7 @@ class _Run:
     pol: polaron.PolaronParams
     initial: np.ndarray
     space3: SpaceDescriptor
-    spec2: rabi_core.SpectrumResult | None = None
+    ground2: tuple[np.ndarray, float] | None = None
 
 
 def _resolve(
@@ -121,16 +119,17 @@ def _resolve(
     """Params, truncation-guarded spectrum, resonance, polaron frame and start state.
 
     drive_amp defaults to the config's Omega, else the preset's default.
-    photons None solves the n_max / 2*n_max pair without guarding it; the
-    caller reports and judges the deltas itself.
+    photons None solves the n_max spectrum and the 2*n_max ground pair without
+    guarding them; the caller reports and judges the deltas itself.
     """
     drive_amp = drive_amp or cfg.drive_amp or _DEFAULT_DRIVE_AMP[cfg.preset]
     params = ModelParams(
         omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f, drive_amp=drive_amp
     )
-    spec2 = None
+    ground2 = None
     if photons is None:
-        spec, spec2 = _spectrum_pair(params, cfg.n_max)
+        spec = rabi_core.solve_spectrum(params, make_space(cfg.n_max, 2))
+        ground2 = _checked(rabi_core.ground_level, params, make_space(2 * cfg.n_max, 2))
     else:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
     omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec, n=1, mode="exact")
@@ -141,7 +140,7 @@ def _resolve(
         pol=_checked(polaron.solve_xi_eta, params),
         initial=dynamics.embed_ground_state(psi0),
         space3=make_space(cfg.n_max, 3),
-        spec2=spec2,
+        ground2=ground2,
     )
 
 
@@ -150,7 +149,15 @@ def _write_result(cfg: ExperimentConfig, provenance: dict, cols: dict) -> Preset
     return PresetResult(path=path, provenance=provenance, columns=cols)
 
 
-def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dynamics.PropagationConfig:
+def _prop_config(
+    cfg: ExperimentConfig, params: ModelParams, t_end: float, snap: bool = False
+) -> dynamics.PropagationConfig:
+    """The run's grid: the config's t_end, dt and sample_every over the defaults.
+
+    snap=True rounds the horizon to whole steps, at least one, and the caller
+    records the snapped t_end; otherwise a horizon shorter than one step is a
+    config error, since the run would end far past it.
+    """
     horizon = cfg.t_end or t_end
     if not np.isfinite(horizon):
         raise ConfigError(
@@ -166,6 +173,13 @@ def _prop_config(cfg: ExperimentConfig, params: ModelParams, t_end: float) -> dy
         norm_tol=cfg.norm_tol,
     )
     _checked(dynamics.check_dt, params, prop.dt)  # the bound propagate enforces
+    if snap:
+        return replace(prop, t_end=max(1, int(round(prop.t_end / prop.dt))) * prop.dt)
+    if prop.t_end < prop.dt:
+        raise ConfigError(
+            f"t_end={prop.t_end:.4g} is shorter than one step (dt={prop.dt:.4g}); "
+            "set a longer t_end or a smaller dt"
+        )
     return prop
 
 
@@ -309,34 +323,33 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     runs.
     """
     run = _resolve(cfg, photons=None)
-    spec, spec2 = run.spec, run.spec2
+    spec, (psi0_2n, lambda0_2n) = run.spec, run.ground2
     model = effective_models.model_from_eigenbasis(run.params, spec)
-    base_prop = _prop_config(cfg, run.params, 1.15 * effective_models.half_period(model))
-    # snap the horizon to the base grid so refined runs sample identical times;
-    # like propagate, take at least one step when t_end is under half a step
-    t_snap = max(1, int(round(base_prop.t_end / base_prop.dt))) * base_prop.dt
+    # the horizon snapped to the base grid, so refined runs sample identical times
+    base_prop = _prop_config(
+        cfg, run.params, 1.15 * effective_models.half_period(model), snap=True
+    )
 
     def peak(space, initial, dt_scale: float) -> tuple[float, float]:
         prop = replace(
-            base_prop, t_end=t_snap, dt=base_prop.dt * dt_scale,
+            base_prop, dt=base_prop.dt * dt_scale,
             sample_every=max(1, int(round(base_prop.sample_every / dt_scale))),
         )
         series = dynamics.propagate(run.params, space, prop, initial)
         return float(series.p_f1.max()), prop.dt
 
-    psi0_2n, _ = _checked(rabi_core.ground_state, spec2)
     p_base, dt_base = peak(run.space3, run.initial, 1.0)
     p_2n, _ = peak(make_space(2 * cfg.n_max, 3), dynamics.embed_ground_state(psi0_2n), 1.0)
     p_half, dt_half = peak(run.space3, run.initial, 0.5)
 
-    d_lambda0 = abs(spec.ground_energy - spec2.ground_energy)
+    d_lambda0 = abs(spec.ground_energy - lambda0_2n)
     d_p_nmax = abs(p_2n - p_base)
     d_p_dt = abs(p_half - p_base)
 
     cols = {
         "n_max": [cfg.n_max, 2 * cfg.n_max, cfg.n_max],
         "dt": [dt_base, dt_base, dt_half],
-        "lambda0": [spec.ground_energy, spec2.ground_energy, spec.ground_energy],
+        "lambda0": [spec.ground_energy, lambda0_2n, spec.ground_energy],
         "max_p_f1": [p_base, p_2n, p_half],
     }
     provenance = {
@@ -348,7 +361,7 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
         "omega_p": run.params.drive_freq,
         "xi": run.pol.xi,
         "eta": run.pol.eta,
-        "t_end": t_snap,
+        "t_end": base_prop.t_end,
         "delta_lambda0_nmax_doubling": d_lambda0,
         "delta_max_p_f1_nmax_doubling": d_p_nmax,
         "delta_max_p_f1_dt_halving": d_p_dt,

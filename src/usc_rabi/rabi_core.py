@@ -15,8 +15,13 @@ one photon while flipping the atom, so each parity sector is a chain: +1 holds
 each sector is a real symmetric tridiagonal matrix with diagonal
 n*omega_c -+ omega0/2 (g: -, e: +) and off-diagonal coupling*sqrt(n) between
 sites n-1 and n (Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107,
-100401 (2011)).  solve_spectrum diagonalizes these chains; build_h_rabi is the
-full-space matrix the dynamics and the polaron frame work with.
+100401 (2011)).  solve_spectrum diagonalizes both chains densely (numpy's
+eigh).  ground_level solves for the ground pair only: psi_0 and E0 from the
+chain that holds the lowest level, the gap from the other chain's
+eigenvalues.  The truncation guard's 2*n_max reference needs no more, since
+the vacuum Rabi frequency is set by the ground-state amplitudes c_n0.
+build_h_rabi is the full-space matrix the dynamics and the polaron frame work
+with.
 """
 
 from __future__ import annotations
@@ -184,12 +189,35 @@ def parity_labels(spectrum: SpectrumResult) -> np.ndarray:
     return labels
 
 
-def ground_state(spectrum: SpectrumResult) -> tuple[np.ndarray, float]:
-    """Dressed ground state |psi_0> (phase: <g,0|psi_0> real positive) and its energy."""
-    gap = float(spectrum.eigenvalues[1] - spectrum.eigenvalues[0])
+def _require_gap(gap: float) -> None:
     if gap < GROUND_GAP_TOL:
         raise ValueError(f"ground level is degenerate within tolerance (gap {gap:.3e})")
+
+
+def ground_state(spectrum: SpectrumResult) -> tuple[np.ndarray, float]:
+    """Dressed ground state |psi_0> (phase: <g,0|psi_0> real positive) and its energy."""
+    _require_gap(float(spectrum.eigenvalues[1] - spectrum.eigenvalues[0]))
     return spectrum.eigenvectors[:, 0].copy(), spectrum.ground_energy
+
+
+def ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
+    """(psi_0, E0) as ground_state(solve_spectrum(params, space)) gives them, bit for bit.
+
+    Diagonalizes the chain that holds the lowest level (the +1 chain, unless a
+    coarse truncation lowers the -1 chain below it) and takes only the
+    eigenvalues of the other chain, for the gap.  Same phase convention and
+    same degenerate-level ValueError as ground_state.
+    """
+    if space.atom_levels != 2:
+        raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
+    (even, rows), (odd, odd_rows) = (_sector_chain(params, space, p) for p in (1, -1))
+    (w, v), other = np.linalg.eigh(even), np.linalg.eigvalsh(odd)
+    if other[0] < w[0]:
+        (w, v), rows, other = np.linalg.eigh(odd), odd_rows, w
+    _require_gap(float(min(w[1], other[0]) - w[0]))
+    psi = np.zeros(space.dim)
+    psi[rows] = v[:, 0]
+    return _fix_phases(psi[:, None])[:, 0], float(w[0])
 
 
 def dressed_amplitude(spectrum: SpectrumResult, n: int, m: int = 0) -> complex:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -298,6 +299,16 @@ class TestExitCodes:
         assert main(["convergence-report", "--config", str(cfg),
                      "--out", str(tmp_path / "s.csv")]) == 0
 
+    def test_horizon_shorter_than_one_step_is_config_error(self, tmp_path, capsys):
+        # at omega_p = 1e-300 the default step T/200 is 3.1e298; one step
+        # would run the point far past its t_end of 1
+        cfg = _write(tmp_path, "tiny.cfg",
+                     "lambda = 0.1\nn_max = 8\nt_end = 1\nsweep_variable = omega_p\n"
+                     "sweep_start = 1e-300\nsweep_stop = 4\nsweep_steps = 2\n")
+        assert main(["resonance-scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "tiny.csv")]) == 3
+        assert "t_end=1 is shorter than one step (dt=3.142e+298)" in capsys.readouterr().err
+
     def test_refinement_guard_failure(self, tmp_path, monkeypatch, capsys):
         # magnus4 moves the peak by about 1e-10 under dt halving, so shift the
         # halved-step run (400 steps per drive period) by 1e-5 to trip the guard
@@ -430,6 +441,52 @@ class TestExitCodes:
         )
         with pytest.raises(ConvergenceGuardError, match="lambda=0.8"):
             run_preset(cfg)
+
+
+# small configs of all five presets, run in one fresh interpreter
+_RUNTIME_IMPORTS_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+from usc_rabi import config, presets
+
+tmp = Path(sys.argv[1])
+runs = {
+    "fig2-sweep": "sweep_variable = lambda\\nsweep_start = 0\\nsweep_stop = 0.3\\n"
+                  "sweep_steps = 3\\nn_max = 12\\n",
+    "fig3-evolve": "n_max = 8\\nOmega_list = 0.2,0.4\\nt_end = 3\\n",
+    "resonance-scan": "n_max = 8\\nOmega = 0.4\\nt_end = 3\\nsweep_variable = delta_omega_p\\n"
+                      "sweep_start = -0.05\\nsweep_stop = 0.05\\nsweep_steps = 2\\n",
+    "convergence-report": "n_max = 8\\nt_end = 10\\n",
+    "two-state-compare": "n_max = 8\\nt_end = 3\\n",
+}
+loaded, new = set(sys.modules), {}
+for preset, text in runs.items():
+    path = tmp / f"{preset}.cfg"
+    path.write_text(text, encoding="utf-8")
+    cfg = config.load_experiment(preset, config_path=path, out=tmp / f"{preset}.csv")
+    presets.run_preset(cfg)
+    new[preset] = sorted(set(sys.modules) - loaded)
+new["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(new))
+"""
+
+
+def test_presets_import_nothing_at_run_time(tmp_path):
+    # a module first imported inside run_preset (numpy.ma through np.unique,
+    # say) is paid in the run's wall time; a scipy import is paid at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNTIME_IMPORTS_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = json.loads(proc.stdout.splitlines()[-1])
+    assert new == {name: [] for name in (
+        "fig2-sweep", "fig3-evolve", "resonance-scan", "convergence-report",
+        "two-state-compare", "scipy")}
 
 
 class TestConfigExtremes:

@@ -176,15 +176,6 @@ class TestEigh:
         recon = v @ np.diag(w) @ v.T
         assert np.max(np.abs(recon - m)) < 1e-9 * max(1.0, np.max(np.abs(m)))
 
-    def test_real_tridiagonal_uses_tridiagonal_solver(self, monkeypatch):
-        def refuse(m):
-            raise AssertionError("dense solver called on a tridiagonal matrix")
-
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        m = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
-        w, _ = eigh(m)
-        assert np.allclose(w, np.linalg.eigvalsh(m.astype(complex)))
-
     def test_dense_and_complex_input_match_numpy(self):
         rng = np.random.default_rng(11)
         h = random_hermitian(rng, 9)

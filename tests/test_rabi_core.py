@@ -8,6 +8,7 @@ from usc_rabi import (
     SpectrumResult,
     build_h_rabi,
     dressed_amplitude,
+    ground_level,
     ground_state,
     make_space,
     parity_labels,
@@ -94,6 +95,45 @@ class TestGroundState:
         )
         with pytest.raises(ValueError):
             ground_state(doctored)
+
+
+class TestGroundLevel:
+    """ground_level against ground_state(solve_spectrum(...)), the full-spectrum oracle."""
+
+    @pytest.mark.parametrize("n_max", [8, 40, 80])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.8, 1.5])
+    def test_matches_full_spectrum(self, lam, n_max):
+        params = ModelParams(omega0=1.0, coupling=lam)
+        space = make_space(n_max, 2)
+        psi0, energy = ground_level(params, space)
+        want_psi, want_energy = ground_state(solve_spectrum(params, space))
+        assert abs(energy - want_energy) < 1e-12
+        assert np.max(np.abs(psi0 - want_psi)) < 1e-10
+
+    def test_lowest_level_in_the_odd_chain(self):
+        # n_max = 4 is far too coarse at lambda = 3: the -1 chain dips below
+        params = ModelParams(omega0=1.0, coupling=3.0)
+        space = make_space(4, 2)
+        spec = solve_spectrum(params, space)
+        assert spec.parities[0] == -1
+        psi0, energy = ground_level(params, space)
+        want_psi, want_energy = ground_state(spec)
+        assert abs(energy - want_energy) < 1e-12
+        assert np.max(np.abs(psi0 - want_psi)) < 1e-10
+
+    def test_degenerate_level_rejected_like_ground_state(self):
+        # at lambda = 4 the two parity ground levels meet to 1.4e-14
+        params = ModelParams(omega0=1.0, coupling=4.0)
+        space = make_space(80, 2)
+        message = "ground level is degenerate within tolerance"
+        with pytest.raises(ValueError, match=message):
+            ground_state(solve_spectrum(params, space))
+        with pytest.raises(ValueError, match=message):
+            ground_level(params, space)
+
+    def test_rejects_three_level_space(self):
+        with pytest.raises(ValueError):
+            ground_level(ModelParams(omega0=1.0, coupling=0.2), make_space(10, 3))
 
 
 class TestDressedAmplitudes:

@@ -366,6 +366,13 @@ class TestExitCodes:
         assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
         assert "ground level is degenerate within tolerance (gap " in capsys.readouterr().err
 
+    def test_degenerate_reference_level_stops_the_sweep(self, tmp_path, capsys):
+        # the 2*n_max reference of the truncation guard is a ground level too
+        cfg = _write(tmp_path, "deg.cfg", "sweep_variable = lambda\nsweep_start = 3.9\n"
+                     "sweep_stop = 4\nsweep_steps = 2\nn_max = 80\n")
+        assert main(["fig2-sweep", "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
+        assert "ground level is degenerate within tolerance (gap " in capsys.readouterr().err
+
     def test_refinement_guard_failure_still_writes_csv(self, tmp_path, capsys):
         # at n_max = 4, lambda = 0.8 the ground energy moves 7.3e-4 under
         # n_max doubling; the report writes its table before it exits 2

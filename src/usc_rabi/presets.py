@@ -68,21 +68,25 @@ def _checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def guarded_spectrum(
-    params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
-) -> rabi_core.SpectrumResult:
-    """Diagonalize at n_max; reject if the reported quantities move at 2*n_max.
+def _guard_ground(
+    params: ModelParams,
+    n_max: int,
+    ground: tuple[np.ndarray, float],
+    label: str = "",
+    photons: tuple[int, ...] = (1,),
+) -> None:
+    """Reject the n_max ground pair `ground` = (psi_0, E0) if it moves at 2*n_max.
 
     Guards the ground energy and |c_n0| for every n in `photons` (by default
     the single-virtual-photon amplitude) to 1e-8.  The 2*n_max reference is
     the ground pair alone; a degenerate ground level there is a config error.
     """
-    spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
-    space2 = make_space(2 * n_max, 2)
+    psi, energy = ground
+    space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
     psi2, energy2 = _checked(rabi_core.ground_level, params, space2)
-    d_energy = abs(spec.ground_energy - energy2)
+    d_energy = abs(energy - energy2)
     d_amps = {
-        n: abs(abs(rabi_core.dressed_amplitude(spec, n)) - abs(psi2[space2.index("e", n)]))
+        n: abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
         for n in photons
     }
     if d_energy > GUARD_TOL or max(d_amps.values()) > GUARD_TOL:
@@ -92,6 +96,14 @@ def guarded_spectrum(
             f"truncation n_max={n_max} not converged{where}: "
             f"ground energy moved {d_energy:.3e}, {moved}"
         )
+
+
+def guarded_spectrum(
+    params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
+) -> rabi_core.SpectrumResult:
+    """Diagonalize at n_max; reject if its ground pair moves at 2*n_max (_guard_ground)."""
+    spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
+    _guard_ground(params, n_max, (spec.eigenvectors[:, 0], spec.ground_energy), label, photons)
     return spec
 
 
@@ -186,26 +198,29 @@ def _prop_config(
 def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     """Virtual-photon amplitude versus coupling: exact against the closed form.
 
-    One row per coupling grid point; the guard aborts on the first
-    non-converged point.
+    One row per coupling grid point, read off the ground pair alone
+    (rabi_core.ground_level); the guard aborts on the first non-converged
+    point, and a ground level degenerate at n_max or 2*n_max is a config error.
     """
     grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps)
     cols: dict = {name: [] for name in (
         "lambda", "c10_exact", "c10_approx", "xi", "eta", "lambda0_exact", "e_approx",
     )}
+    space = make_space(cfg.n_max, 2)
     for lam in grid:
         params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
+        psi, energy = _checked(rabi_core.ground_level, params, space)
         try:
-            spec = guarded_spectrum(params, cfg.n_max, label=f"lambda={lam:g}")
+            _guard_ground(params, cfg.n_max, (psi, energy), label=f"lambda={lam:g}")
         except ConvergenceGuardError as exc:
             raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
         pol = _checked(polaron.solve_xi_eta, params)
         cols["lambda"].append(lam)
-        cols["c10_exact"].append(rabi_core.dressed_amplitude(spec, 1).real)
+        cols["c10_exact"].append(psi[space.index("e", 1)])
         cols["c10_approx"].append(polaron.c10_approx(params, pol))
         cols["xi"].append(pol.xi)
         cols["eta"].append(pol.eta)
-        cols["lambda0_exact"].append(spec.ground_energy)
+        cols["lambda0_exact"].append(energy)
         cols["e_approx"].append(pol.e_approx)
     provenance = {
         "preset": cfg.preset,

@@ -17,9 +17,12 @@ n*omega_c -+ omega0/2 (g: -, e: +) and off-diagonal coupling*sqrt(n) between
 sites n-1 and n (Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107,
 100401 (2011)).  solve_spectrum diagonalizes both chains densely (numpy's
 eigh).  ground_level solves for the ground pair only: psi_0 and E0 from the
-chain that holds the lowest level, the gap from the other chain's
-eigenvalues.  The truncation guard's 2*n_max reference needs no more, since
-the vacuum Rabi frequency is set by the ground-state amplitudes c_n0.
++1 chain, and a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+(1967)) of the -1 chain's levels below E0 + GROUND_GAP_TOL for the gap; only
+when that count is not zero does it diagonalize the -1 chain as well.  The
+truncation guard's 2*n_max reference and fig2-sweep's n_max pair need no
+more, since the vacuum Rabi frequency is set by the ground-state amplitudes
+c_n0.
 build_h_rabi is the full-space matrix the dynamics and the polaron frame work
 with.
 """
@@ -127,20 +130,49 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * (np.conj(pivot) / np.abs(pivot))
 
 
-def _sector_chain(
+def _chain_bands(
     params: ModelParams, space: SpaceDescriptor, parity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parity sector `parity` (+1 or -1) as a real tridiagonal chain.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parity sector `parity` (+1 or -1) as the bands of a real tridiagonal chain.
 
-    Returns the chain matrix and, for each site n = 0..n_max, the full-space
-    row of its ket: |g,n> where n's parity matches `parity`, else |e,n>.
+    Returns the diagonal, the off-diagonal and, for each site n = 0..n_max,
+    the full-space row of its ket: |g,n> where n's parity matches `parity`,
+    else |e,n>.
     """
     n = np.arange(space.n_photon)
     excited = (n % 2 == 0) != (parity > 0)
     rows = np.where(excited, space.index("e", 0), space.index("g", 0)) + n
     diag = params.omega_c * n + np.where(excited, 0.5, -0.5) * params.omega0
     off = params.coupling * np.sqrt(n[1:])
+    return diag, off, rows
+
+
+def _sector_chain(
+    params: ModelParams, space: SpaceDescriptor, parity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parity sector `parity` as a dense chain matrix, and the rows of its sites."""
+    diag, off, rows = _chain_bands(params, space, parity)
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rows
+
+
+def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """Number of eigenvalues of the tridiagonal chain (diag, off) below x.
+
+    Sturm count: the negative pivots of the LDL^T factorization of
+    chain - x*I, in O(n) and without solving for any level.  A pivot that is
+    exactly zero is replaced by -pivmin, as LAPACK's bisection does, so the
+    next pivot stays finite; a level within a few ulps of x may be counted on
+    either side.
+    """
+    b2 = off * off
+    pivmin = np.finfo(float).tiny * max(1.0, float(b2.max()))
+    count, pivot = 0, 1.0
+    for a, b in zip((diag - x).tolist(), [0.0] + b2.tolist()):
+        pivot = a - b / pivot
+        if pivot == 0.0:
+            pivot = -pivmin
+        count += pivot < 0.0
+    return count
 
 
 def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResult:
@@ -203,18 +235,26 @@ def ground_state(spectrum: SpectrumResult) -> tuple[np.ndarray, float]:
 def ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
     """(psi_0, E0) as ground_state(solve_spectrum(params, space)) gives them, bit for bit.
 
-    Diagonalizes the chain that holds the lowest level (the +1 chain, unless a
-    coarse truncation lowers the -1 chain below it) and takes only the
-    eigenvalues of the other chain, for the gap.  Same phase convention and
-    same degenerate-level ValueError as ground_state.
+    Diagonalizes the +1 chain and counts the -1 chain's levels below
+    E0 + GROUND_GAP_TOL (a Sturm count, see _count_below).  When none lies
+    there, the gap is the +1 chain's own.  Otherwise (a coarse truncation or
+    deep coupling puts the -1 chain lower or within the tolerance) the -1
+    chain is diagonalized too, and the lower of the two chains gives the
+    level.  Same phase convention and same degenerate-level ValueError as
+    ground_state.
     """
     if space.atom_levels != 2:
         raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
-    (even, rows), (odd, odd_rows) = (_sector_chain(params, space, p) for p in (1, -1))
-    (w, v), other = np.linalg.eigh(even), np.linalg.eigvalsh(odd)
-    if other[0] < w[0]:
-        (w, v), rows, other = np.linalg.eigh(odd), odd_rows, w
-    _require_gap(float(min(w[1], other[0]) - w[0]))
+    even, rows = _sector_chain(params, space, 1)
+    w, v = np.linalg.eigh(even)
+    diag, off, odd_rows = _chain_bands(params, space, -1)
+    gap = w[1] - w[0]
+    if _count_below(diag, off, w[0] + GROUND_GAP_TOL):
+        other, odd_v = np.linalg.eigh(_sector_chain(params, space, -1)[0])
+        if other[0] < w[0]:
+            (w, v), rows, other = (other, odd_v), odd_rows, w
+        gap = min(w[1], other[0]) - w[0]
+    _require_gap(float(gap))
     psi = np.zeros(space.dim)
     psi[rows] = v[:, 0]
     return _fix_phases(psi[:, None])[:, 0], float(w[0])

@@ -52,6 +52,19 @@ def ground(spectrum):
     return psi0, energy
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigh calls made while the test runs."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T

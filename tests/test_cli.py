@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usc_rabi import dynamics, polaron
+from usc_rabi import ModelParams, dressed_amplitude, dynamics, make_space, polaron
+from usc_rabi import solve_spectrum
 from usc_rabi.cli import main
 from usc_rabi.config import (
     ConfigError,
@@ -144,6 +145,24 @@ class TestCliRuns:
         assert main(["fig2-sweep", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["fig2-sweep", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fig2_sweep_is_the_full_spectrum_ground_pair(self, tmp_path, monkeypatch,
+                                                           eigh_calls):
+        # c10 and E0 come from ground_level at n_max; the full spectrum is the
+        # oracle.  Each point solves the +1 chain at n_max and at 2*n_max and
+        # only counts the -1 chain's levels: 2 eigh, no eigvalsh
+        raw = {"sweep_variable": "lambda", "sweep_start": 0.0, "sweep_stop": 1.5,
+               "sweep_steps": 6, "n_max": 30, "output_path": str(tmp_path / "f2.csv")}
+        cfg = build_config("fig2-sweep", raw)
+        eigvalsh_calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: eigvalsh_calls.append(a))
+        cols = run_preset(cfg).columns
+        assert len(eigh_calls) == 2 * cfg.sweep.steps and not eigvalsh_calls
+        for lam, c10, energy in zip(cols["lambda"], cols["c10_exact"], cols["lambda0_exact"]):
+            spec = solve_spectrum(ModelParams(omega0=cfg.omega0, coupling=lam),
+                                  make_space(cfg.n_max, 2))
+            assert c10 == dressed_amplitude(spec, 1).real
+            assert energy == spec.ground_energy
 
     def test_fig3_evolve_small(self, tmp_path):
         cfg = _write(
@@ -372,6 +391,21 @@ class TestExitCodes:
                      "sweep_stop = 4\nsweep_steps = 2\nn_max = 80\n")
         assert main(["fig2-sweep", "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
         assert "ground level is degenerate within tolerance (gap " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max, solved_at", [(20, 40), (40, 40)])
+    def test_degenerate_level_stops_the_sweep_at_either_truncation(
+        self, tmp_path, capsys, n_max, solved_at
+    ):
+        # at lambda = 3.6 the parity ground levels meet to 7.2e-6 at n_max 20
+        # and to 5e-12 at n_max 40 and 80: n_max 20 stops at its 2*n_max
+        # reference, n_max 40 already at its own ground pair
+        cfg = _write(tmp_path, "deg.cfg", "sweep_variable = lambda\nsweep_start = 3.6\n"
+                     f"sweep_stop = 3.7\nsweep_steps = 2\nn_max = {n_max}\n")
+        assert main(["fig2-sweep", "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
+        w = solve_spectrum(ModelParams(omega0=1.0, coupling=3.6),
+                           make_space(solved_at, 2)).eigenvalues
+        assert f"ground level is degenerate within tolerance (gap {w[1] - w[0]:.3e})" in (
+            capsys.readouterr().err)
 
     def test_refinement_guard_failure_still_writes_csv(self, tmp_path, capsys):
         # at n_max = 4, lambda = 0.8 the ground energy moves 7.3e-4 under

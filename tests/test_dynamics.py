@@ -282,19 +282,6 @@ def _fields(series):
     return {f: getattr(series, f) for f in FIELDS if getattr(series, f) is not None}
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the np.linalg.eigh calls made while the test runs."""
-    eigh, calls = np.linalg.eigh, []
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    return calls
-
-
 def _refuse(*args, **kwargs):
     raise AssertionError("propagate took the wrong path")
 

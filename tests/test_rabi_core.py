@@ -131,9 +131,51 @@ class TestGroundLevel:
         with pytest.raises(ValueError, match=message):
             ground_level(params, space)
 
+    @pytest.mark.parametrize("lam, n_max, solves", [(0.5, 40, 1), (3.0, 4, 2), (4.0, 80, 2)])
+    def test_solves_the_odd_chain_only_when_it_counts_a_level(self, eigh_calls, lam, n_max,
+                                                              solves):
+        # the -1 chain is diagonalized only when it lies lower (lambda 3 at
+        # n_max 4) or within the gap tolerance (lambda 4, which then raises)
+        try:
+            ground_level(ModelParams(omega0=1.0, coupling=lam), make_space(n_max, 2))
+        except ValueError:
+            pass
+        assert len(eigh_calls) == solves
+
     def test_rejects_three_level_space(self):
         with pytest.raises(ValueError):
             ground_level(ModelParams(omega0=1.0, coupling=0.2), make_space(10, 3))
+
+
+class TestSturmCount:
+    """_count_below against the chain's dense eigenvalues, the oracle."""
+
+    @pytest.mark.parametrize("parity", [1, -1])
+    @pytest.mark.parametrize("n_max", [1, 4, 40, 80])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 1.5, 4.0])
+    def test_matches_dense_eigenvalues(self, lam, n_max, parity):
+        # lambda = 0 has exact-zero off-diagonals, exact-zero pivots at the
+        # shifts that hit a level, and degenerate levels within one chain
+        params = ModelParams(omega0=1.0, coupling=lam)
+        space = make_space(n_max, 2)
+        diag, off, _ = rabi_core._chain_bands(params, space, parity)
+        w = np.linalg.eigvalsh(rabi_core._sector_chain(params, space, parity)[0])
+        levels = np.unique(w)
+        shifts = np.concatenate([[levels[0] - 1.0], 0.5 * (levels[:-1] + levels[1:]),
+                                 [levels[-1] + 1.0]])
+        for x in shifts:
+            assert rabi_core._count_below(diag, off, x) == np.sum(w < x)
+        # a few ulps from a level either side of it is right
+        for x in levels + 3 * np.spacing(np.abs(levels)):
+            count = rabi_core._count_below(diag, off, x)
+            assert np.sum(w < x - 1e-12 * (1 + abs(x))) <= count
+            assert count <= np.sum(w < x + 1e-12 * (1 + abs(x)))
+
+    def test_zero_pivot_counts_the_level_below(self):
+        # at lambda = 0 the chain is diagonal; x on a level makes its pivot 0
+        params = ModelParams(omega0=1.0, coupling=0.0)
+        diag, off, _ = rabi_core._chain_bands(params, make_space(4, 2), 1)
+        assert rabi_core._count_below(diag, off, -0.5) == 1
 
 
 class TestDressedAmplitudes:

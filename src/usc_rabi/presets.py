@@ -68,6 +68,14 @@ def _checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
+    """rabi_core.ground_level; a degenerate level is a config error naming lambda and n_max."""
+    try:
+        return rabi_core.ground_level(params, space)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} at lambda={params.coupling:g}, n_max={space.n_max}") from exc
+
+
 def _guard_ground(
     params: ModelParams,
     n_max: int,
@@ -78,12 +86,17 @@ def _guard_ground(
     """Reject the n_max ground pair `ground` = (psi_0, E0) if it moves at 2*n_max.
 
     Guards the ground energy and |c_n0| for every n in `photons` (by default
-    the single-virtual-photon amplitude) to 1e-8.  The 2*n_max reference is
-    the ground pair alone; a degenerate ground level there is a config error.
+    the single-virtual-photon amplitude) to 1e-8.  rabi_core.certify_ground
+    settles the guard from the n_max pair and two Sturm counts when its
+    bounds on both moves are within 1e-8; only otherwise is the 2*n_max
+    ground pair solved (ground_level) and compared, and a degenerate ground
+    level there is a config error.
     """
     psi, energy = ground
     space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-    psi2, energy2 = _checked(rabi_core.ground_level, params, space2)
+    if rabi_core.certify_ground(params, space, ground, space2, GUARD_TOL) is not None:
+        return
+    psi2, energy2 = _ground_level(params, space2)
     d_energy = abs(energy - energy2)
     d_amps = {
         n: abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
@@ -101,7 +114,10 @@ def _guard_ground(
 def guarded_spectrum(
     params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
 ) -> rabi_core.SpectrumResult:
-    """Diagonalize at n_max; reject if its ground pair moves at 2*n_max (_guard_ground)."""
+    """Diagonalize at n_max; reject if its ground pair moves at 2*n_max (_guard_ground).
+
+    A converged ground pair is certified without solving at 2*n_max.
+    """
     spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
     _guard_ground(params, n_max, (spec.eigenvectors[:, 0], spec.ground_energy), label, photons)
     return spec
@@ -141,7 +157,7 @@ def _resolve(
     ground2 = None
     if photons is None:
         spec = rabi_core.solve_spectrum(params, make_space(cfg.n_max, 2))
-        ground2 = _checked(rabi_core.ground_level, params, make_space(2 * cfg.n_max, 2))
+        ground2 = _ground_level(params, make_space(2 * cfg.n_max, 2))
     else:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
     omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec, n=1, mode="exact")
@@ -200,7 +216,8 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
 
     One row per coupling grid point, read off the ground pair alone
     (rabi_core.ground_level); the guard aborts on the first non-converged
-    point, and a ground level degenerate at n_max or 2*n_max is a config error.
+    point, and a ground level degenerate at n_max or 2*n_max is a config error
+    that names the coupling and the truncation.
     """
     grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps)
     cols: dict = {name: [] for name in (
@@ -209,7 +226,7 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     space = make_space(cfg.n_max, 2)
     for lam in grid:
         params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-        psi, energy = _checked(rabi_core.ground_level, params, space)
+        psi, energy = _ground_level(params, space)
         try:
             _guard_ground(params, cfg.n_max, (psi, energy), label=f"lambda={lam:g}")
         except ConvergenceGuardError as exc:

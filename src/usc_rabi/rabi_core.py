@@ -19,10 +19,14 @@ sites n-1 and n (Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107,
 eigh).  ground_level solves for the ground pair only: psi_0 and E0 from the
 +1 chain, and a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386
 (1967)) of the -1 chain's levels below E0 + GROUND_GAP_TOL for the gap; only
-when that count is not zero does it diagonalize the -1 chain as well.  The
-truncation guard's 2*n_max reference and fig2-sweep's n_max pair need no
-more, since the vacuum Rabi frequency is set by the ground-state amplitudes
-c_n0.
+when that count is not zero does it diagonalize the -1 chain as well.
+fig2-sweep's n_max pair needs no more, since the vacuum Rabi frequency is set
+by the ground-state amplitudes c_n0.  certify_ground bounds how far that pair
+moves at a larger truncation without solving there: truncation drops one
+bond of the chain, so the n_max pair is a trial pair of the larger chain
+whose residual is known, and two Sturm counts turn the residual into bounds
+on E0 and every |c_n0|.  The truncation guard solves its 2*n_max reference
+with ground_level only when those bounds do not settle it.
 build_h_rabi is the full-space matrix the dynamics and the polaron frame work
 with.
 """
@@ -241,7 +245,8 @@ def ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarra
     deep coupling puts the -1 chain lower or within the tolerance) the -1
     chain is diagonalized too, and the lower of the two chains gives the
     level.  Same phase convention and same degenerate-level ValueError as
-    ground_state.
+    ground_state.  The truncation guard calls it at 2*n_max only when
+    certify_ground cannot settle the guard from the n_max pair.
     """
     if space.atom_levels != 2:
         raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
@@ -258,6 +263,64 @@ def ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarra
     psi = np.zeros(space.dim)
     psi[rows] = v[:, 0]
     return _fix_phases(psi[:, None])[:, 0], float(w[0])
+
+
+def certify_ground(
+    params: ModelParams,
+    space: SpaceDescriptor,
+    ground: tuple[np.ndarray, float],
+    space2: SpaceDescriptor,
+    tol: float,
+) -> tuple[float, float] | None:
+    """Bound how far the ground pair `ground` = (psi_0, E0) at `space` moves at `space2`.
+
+    space2 is a larger truncation.  psi_0 is a parity eigenstate, as
+    ground_level and solve_spectrum give it.  Its +1 chain amplitudes v,
+    padded with zeros, are a trial vector for the space2 +1 chain T2, whose
+    leading block is the space chain T.  With sigma = v^T T v / v^T v, the
+    residual of T2 is that of T plus one entry, coupling*sqrt(n_max+1)*v[n_max]:
+    the bond into the first dropped site.  rho is its norm over |v|, plus
+    2(n+2)*eps*(|T|_inf + that bond + |sigma|) for the rounding in forming it
+    (n = n_max + 1 sites).  Some level of T2 lies within rho of sigma, so two
+    Sturm counts (_count_below) settle the rest:
+      - T2 has exactly one level below sigma + rho + delta, with
+        delta = max(2*rho/tol, GROUND_GAP_TOL) (2, not sqrt(2), leaves room
+        under tol for |1 - |v|| and rounding).  That level is its lowest,
+        mu_1, within rho of sigma, and every other level lies delta or more
+        above it, so the angle between v and mu_1's eigenvector u has
+        sin <= rho/delta (Davis-Kahan) and |v/|v| -+ u| <= sqrt(2)*rho/delta;
+      - the space2 -1 chain has no level below sigma + rho + GROUND_GAP_TOL,
+        so mu_1 is the ground level at space2 and is not degenerate.
+    Returns (energy bound, amplitude bound): |E0 - mu_1| <= |E0 - sigma| + rho,
+    and every |<e,n|psi_0>| moves by at most sqrt(2)*rho/delta + |1 - |v||.
+    Returns None when the counts do not hold, when a bound exceeds tol, or
+    when psi_0 lies in the -1 chain; ground_level at space2 then decides.
+    """
+    psi, energy = ground
+    chain, rows = _sector_chain(params, space, 1)
+    v = psi[rows]
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return None
+    diag, off, _ = _chain_bands(params, space2, 1)
+    n = v.size
+    tv = chain @ v
+    sigma = float(v @ tv) / norm**2
+    bond = off[n - 1]
+    residual = np.append(tv - sigma * v, bond * v[-1])
+    scale = np.abs(chain).sum(axis=1).max() + bond + abs(sigma)
+    rho = (np.linalg.norm(residual) + 2 * (n + 2) * np.finfo(float).eps * scale * norm) / norm
+    d_energy = abs(energy - sigma) + rho
+    delta = max(2.0 * rho / tol, GROUND_GAP_TOL)
+    d_amp = np.sqrt(2.0) * rho / delta + abs(1.0 - norm)
+    if max(d_energy, d_amp) > tol:
+        return None
+    if _count_below(diag, off, sigma + rho + delta) != 1:
+        return None
+    odd_diag, odd_off, _ = _chain_bands(params, space2, -1)
+    if _count_below(odd_diag, odd_off, sigma + rho + GROUND_GAP_TOL):
+        return None
+    return float(d_energy), float(d_amp)
 
 
 def dressed_amplitude(spectrum: SpectrumResult, n: int, m: int = 0) -> complex:

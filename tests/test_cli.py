@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usc_rabi import ModelParams, dressed_amplitude, dynamics, make_space, polaron
-from usc_rabi import solve_spectrum
+from usc_rabi import ground_level, presets, rabi_core, solve_spectrum
 from usc_rabi.cli import main
 from usc_rabi.config import (
     ConfigError,
@@ -19,7 +19,7 @@ from usc_rabi.config import (
     load_experiment,
     parse_config_file,
 )
-from usc_rabi.presets import ConvergenceGuardError, run_preset
+from usc_rabi.presets import GUARD_TOL, ConvergenceGuardError, run_preset
 
 
 def _write(tmp_path, name, text):
@@ -149,15 +149,17 @@ class TestCliRuns:
     def test_fig2_sweep_is_the_full_spectrum_ground_pair(self, tmp_path, monkeypatch,
                                                            eigh_calls):
         # c10 and E0 come from ground_level at n_max; the full spectrum is the
-        # oracle.  Each point solves the +1 chain at n_max and at 2*n_max and
-        # only counts the -1 chain's levels: 2 eigh, no eigvalsh
+        # oracle.  Each point solves the +1 chain at n_max and only counts
+        # levels otherwise: the -1 chain's at n_max, and both chains' at
+        # 2*n_max for the certified guard.  1 eigh, no eigvalsh
         raw = {"sweep_variable": "lambda", "sweep_start": 0.0, "sweep_stop": 1.5,
                "sweep_steps": 6, "n_max": 30, "output_path": str(tmp_path / "f2.csv")}
         cfg = build_config("fig2-sweep", raw)
         eigvalsh_calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: eigvalsh_calls.append(a))
         cols = run_preset(cfg).columns
-        assert len(eigh_calls) == 2 * cfg.sweep.steps and not eigvalsh_calls
+        assert len(eigh_calls) == cfg.sweep.steps and not eigvalsh_calls
+        assert (2 * cfg.n_max + 1, 2 * cfg.n_max + 1) not in eigh_calls
         for lam, c10, energy in zip(cols["lambda"], cols["c10_exact"], cols["lambda0_exact"]):
             spec = solve_spectrum(ModelParams(omega0=cfg.omega0, coupling=lam),
                                   make_space(cfg.n_max, 2))
@@ -404,8 +406,8 @@ class TestExitCodes:
         assert main(["fig2-sweep", "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
         w = solve_spectrum(ModelParams(omega0=1.0, coupling=3.6),
                            make_space(solved_at, 2)).eigenvalues
-        assert f"ground level is degenerate within tolerance (gap {w[1] - w[0]:.3e})" in (
-            capsys.readouterr().err)
+        assert (f"ground level is degenerate within tolerance (gap {w[1] - w[0]:.3e}) "
+                f"at lambda=3.6, n_max={solved_at}") in capsys.readouterr().err
 
     def test_refinement_guard_failure_still_writes_csv(self, tmp_path, capsys):
         # at n_max = 4, lambda = 0.8 the ground energy moves 7.3e-4 under
@@ -482,6 +484,74 @@ class TestExitCodes:
         )
         with pytest.raises(ConvergenceGuardError, match="lambda=0.8"):
             run_preset(cfg)
+
+
+
+def _guard_outcome(params, n_max, ground, photons):
+    """None if the truncation guard passes, else its exception type and message."""
+    try:
+        presets._guard_ground(params, n_max, ground, label="grid", photons=photons)
+    except (ConvergenceGuardError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _n_max_ground(lam, n_max):
+    """The n_max ground pair as guarded_spectrum hands it to the guard."""
+    params = ModelParams(omega0=1.0, coupling=lam)
+    spec = solve_spectrum(params, make_space(n_max, 2))
+    return params, (spec.eigenvectors[:, 0], spec.ground_energy)
+
+
+class TestTruncationCertificate:
+    """rabi_core.certify_ground against the exact 2*n_max ground pair, the oracle."""
+
+    @pytest.mark.parametrize("photons", [(1,), (1, 3)])
+    @pytest.mark.parametrize("n_max", [4, 8, 20, 40, 80])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.8, 1.5, 3.6, 4.0])
+    def test_guard_decides_as_the_exact_reference(self, monkeypatch, lam, n_max, photons):
+        params, ground = _n_max_ground(lam, n_max)
+        space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
+        bounds = rabi_core.certify_ground(params, space, ground, space2, GUARD_TOL)
+        outcome = _guard_outcome(params, n_max, ground, photons)
+        monkeypatch.setattr(rabi_core, "certify_ground", lambda *args: None)
+        assert _guard_outcome(params, n_max, ground, photons) == outcome
+        if bounds is None:
+            return
+        psi, energy = ground
+        psi2, energy2 = ground_level(params, space2)
+        moves = [abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
+                 for n in range(n_max + 1)]
+        assert abs(energy - energy2) <= bounds[0] <= GUARD_TOL
+        assert max(moves) <= bounds[1] <= GUARD_TOL
+
+    def test_excited_level_is_not_certified(self):
+        # the +1 chain's second level as the trial pair: its residual is as
+        # small as the ground level's, but a level lies below it
+        params = ModelParams(omega0=1.0, coupling=0.5)
+        space = make_space(40, 2)
+        spec = solve_spectrum(params, space)
+        k = int(np.flatnonzero(spec.parities > 0)[1])
+        excited = (spec.eigenvectors[:, k], float(spec.eigenvalues[k]))
+        assert rabi_core.certify_ground(params, space, excited, make_space(80, 2),
+                                        GUARD_TOL) is None
+
+    @pytest.mark.parametrize("lam, n_max, photons, error", [
+        (0.8, 4, (1,), ConvergenceGuardError),  # E0 and c10 move: exit 2
+        (0.2, 4, (1, 3), ConvergenceGuardError),  # only c30 moves: exit 2
+        (3.9, 80, (1,), ConfigError),  # degenerate 2*n_max reference: exit 3
+        (4.0, 80, (1,), ConfigError),
+        (3.0, 4, (1,), ConvergenceGuardError),  # n_max ground level in the -1 chain
+    ])
+    def test_undecided_guard_solves_the_reference(self, eigh_calls, lam, n_max, photons,
+                                                  error):
+        params, ground = _n_max_ground(lam, n_max)
+        assert rabi_core.certify_ground(params, make_space(n_max, 2), ground,
+                                        make_space(2 * n_max, 2), GUARD_TOL) is None
+        eigh_calls.clear()
+        with pytest.raises(error):
+            presets._guard_ground(params, n_max, ground, photons=photons)
+        assert (2 * n_max + 1, 2 * n_max + 1) in eigh_calls
 
 
 # small configs of all five presets, run in one fresh interpreter

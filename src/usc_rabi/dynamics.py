@@ -50,6 +50,8 @@ start state:
   steps the full 3-level space, applying each exponential to the state by an
   adaptive Taylor expansion exact to machine precision at the step sizes
   used here.  It is also the oracle the sector path is tested against.
+
+rabi_extract reads the Rabi frequency off a trace with a numpy peak finder.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ import numpy as np
 
 from . import hilbert, rabi_core
 from .hilbert import SpaceDescriptor
-from .polaron import PolaronParams
-from .rabi_core import ModelParams, SpectrumResult
+from .rabi_core import ModelParams
 
 _TAYLOR_MAX_TERMS = 40
 _TAYLOR_THETA = 0.5
@@ -167,7 +168,7 @@ def static_hamiltonian(params: ModelParams, space: SpaceDescriptor) -> np.ndarra
     nph = space.n_photon
     h = np.zeros((space.dim, space.dim), dtype=complex)
     h[: 2 * nph, : 2 * nph] = rabi_core.build_h_rabi(params, hilbert.make_space(space.n_max, 2))
-    h[2 * nph :, 2 * nph :] = np.diag(params.omega_f + params.omega_c * np.arange(nph))
+    h[2 * nph :, 2 * nph :] = np.diag(params.omega_f + np.arange(nph))
     return h
 
 
@@ -194,26 +195,15 @@ def embed_ground_state(psi_two_level: np.ndarray) -> np.ndarray:
     return out
 
 
-def resonance_frequency(params: ModelParams, source, n: int = 1, mode: str = "exact") -> float:
-    """Drive frequency of the n-photon transfer channel.
+def resonance_frequency(params: ModelParams, ground_energy: float, n: int = 1) -> float:
+    """Drive frequency omega_f + n - ground_energy of the n-photon transfer channel (n odd).
 
-    exact mode uses the numerical ground energy from a SpectrumResult:
-    omega_f + n*omega_c - ground_energy.  approx mode (n = 1 only) replaces the
-    ground energy by the transformed-frame estimate from PolaronParams.
+    ground_energy is the exact spectrum's or, as an estimate, the polaron
+    frame's e_approx.
     """
     if n % 2 == 0 or n < 1:
         raise ValueError(f"n must be a positive odd integer, got {n}")
-    if mode == "exact":
-        if not isinstance(source, SpectrumResult):
-            raise TypeError("exact mode needs a SpectrumResult")
-        return params.omega_f + n * params.omega_c - source.ground_energy
-    if mode == "approx":
-        if n != 1:
-            raise ValueError("the approximate ground-energy bracket applies to n=1 only")
-        if not isinstance(source, PolaronParams):
-            raise TypeError("approx mode needs PolaronParams")
-        return params.omega_f + params.omega_c - source.e_approx
-    raise ValueError(f"unknown mode {mode!r}")
+    return params.omega_f + n - ground_energy
 
 
 def _apply_exponential(h_matvec, dt: float, psi: np.ndarray, n_sub: int) -> np.ndarray:
@@ -586,10 +576,32 @@ class RabiFeatures:
     flagged: bool
 
 
-def rabi_extract(series: TimeSeries, smooth_window: int | None = None) -> RabiFeatures:
+def _find_peaks(x: np.ndarray, height: float, prominence: float) -> np.ndarray:
+    """Indices of the peaks of x at least `height` high and `prominence` prominent.
+
+    A run of equal samples above both neighbours is one peak, at its middle
+    sample; a run touching either end of x is none.  Prominence is the peak
+    minus the higher of its two bases, each the lowest sample between the peak
+    and the nearest strictly higher one on that side, or that end of x.
+    """
+    edges = np.flatnonzero(np.diff(x)) + 1
+    starts, ends = np.r_[0, edges], np.r_[edges - 1, len(x) - 1]
+    v = x[starts]
+    top = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] >= height)
+    peaks = (starts[1:-1][top] + ends[1:-1][top]) // 2
+    keep = np.zeros(len(peaks), dtype=bool)
+    for k, p in enumerate(peaks):
+        higher = np.r_[-1, np.flatnonzero(x > x[p]), len(x)]
+        j = np.searchsorted(higher, p)
+        base = max(x[higher[j - 1] + 1 : p + 1].min(), x[p : higher[j]].min())
+        keep[k] = x[p] - base >= prominence
+    return peaks[keep]
+
+
+def rabi_extract(series: TimeSeries) -> RabiFeatures:
     """Extract peak transfer, time of first maximum, and the slow Rabi frequency.
 
-    The trace is smoothed over roughly one drive period to suppress the fast
+    The trace is smoothed over 1% of its samples to suppress the fast
     counter-rotating ripple before peak finding; the dominant frequency comes
     from the median peak-to-peak spacing (or from the first-maximum time when
     the window holds a single peak).
@@ -600,26 +612,16 @@ def rabi_extract(series: TimeSeries, smooth_window: int | None = None) -> RabiFe
     if max_p < 0.01:
         return RabiFeatures(max_p=max_p, t_half=np.nan, freq_fit=np.nan, flagged=True)
 
-    if smooth_window is None:
-        smooth_window = max(1, len(p) // 100)
-    if smooth_window > 1:
-        kernel = np.ones(smooth_window) / smooth_window
-        smooth = np.convolve(p, kernel, mode="same")
-    else:
-        smooth = p
-
-    from scipy.signal import find_peaks  # deferred: scipy.signal dominates import time
+    window = max(1, len(p) // 100)
+    smooth = np.convolve(p, np.ones(window) / window, mode="same")
 
     # prominence floor rejects ripple remnants that survive the smoothing
-    peaks, _ = find_peaks(
-        smooth, height=0.5 * smooth.max(), prominence=0.25 * smooth.max()
-    )
+    peaks = _find_peaks(smooth, height=0.5 * smooth.max(), prominence=0.25 * smooth.max())
     if len(peaks) == 0:
         peaks = np.array([int(np.argmax(smooth))])
 
     first = int(peaks[0])
-    lo = max(0, first - smooth_window)
-    hi = min(len(p), first + smooth_window + 1)
+    lo, hi = max(0, first - window), min(len(p), first + window + 1)
     t_half = float(t[lo + int(np.argmax(p[lo:hi]))])
 
     if len(peaks) >= 2:

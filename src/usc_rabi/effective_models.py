@@ -43,8 +43,8 @@ def _detuning(params: ModelParams, resonance: float) -> float:
 
 def model_from_polaron(params: ModelParams, polaron: PolaronParams) -> TwoStateModel:
     """Two-state model in the transformed frame: g = coupling*xi*omega_prime/(2 omega_c)."""
-    g = params.coupling * polaron.xi * polaron.omega_prime / (2.0 * params.omega_c)
-    resonance = params.omega_f + params.omega_c - polaron.e_approx
+    g = params.coupling * polaron.xi * polaron.omega_prime / 2.0
+    resonance = params.omega_f + 1.0 - polaron.e_approx
     return TwoStateModel(
         coupling=g,
         source="dressed-ground",
@@ -61,7 +61,7 @@ def model_from_eigenbasis(params: ModelParams, spectrum: SpectrumResult) -> TwoS
 def multiphoton_model(params: ModelParams, spectrum: SpectrumResult, n: int) -> TwoStateModel:
     """n-photon generalization with target |f,n>; parity forbids even n.
 
-    Resonant drive frequency for this channel is omega_f + n*omega_c - ground
+    Resonant drive frequency for this channel is omega_f + n - ground
     energy; g = drive_amp * |c_n0| / 2 with the exact n-photon amplitude.
     """
     if n % 2 == 0:
@@ -71,7 +71,7 @@ def multiphoton_model(params: ModelParams, spectrum: SpectrumResult, n: int) -> 
     if n > spectrum.space.n_max:
         raise ValueError(f"n={n} exceeds the Fock truncation {spectrum.space.n_max}")
     g = params.drive_amp * abs(dressed_amplitude(spectrum, n)) / 2.0
-    resonance = params.omega_f + n * params.omega_c - spectrum.ground_energy
+    resonance = params.omega_f + n - spectrum.ground_energy
     return TwoStateModel(
         coupling=g,
         source="dressed-ground",

@@ -3,9 +3,8 @@
 Basis ordering: the flattened index of |level, n> is level_ordinal*(n_max+1) + n
 with level ordinals g=0, e=1, f=2.  All operators are dense complex matrices and
 all energies are expressed in units of the cavity frequency (hbar = 1).  eigh
-is numpy's dense Hermitian solver and keeps real input real.  Nothing here
-imports scipy at module load: matrix_exponential imports scipy.linalg.expm
-when first called, and only the polaron frame helpers call it.
+is numpy's dense Hermitian solver and keeps real input real; the polaron
+frame's unitaries e^(+-S) come from one eigh each (matrix_exponential).
 """
 
 from __future__ import annotations
@@ -96,13 +95,15 @@ def atomic_op(space: SpaceDescriptor, bra_level: str, ket_level: str) -> np.ndar
 
 
 def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """exp(scale * m) via scaling-and-squaring; unitary to ~1e-13 for anti-Hermitian arguments."""
-    from scipy.linalg import expm  # deferred: scipy.linalg dominates import time
+    """exp(a) = v diag(exp(-1j*w)) v^H for the anti-Hermitian a = scale*m, 1j*a = v diag(w) v^H.
 
+    Unitary to rounding; eigh rejects an a that is not anti-Hermitian (ValueError).
+    """
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    return expm(scale * m)
+    w, v = eigh(1j * (scale * m))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

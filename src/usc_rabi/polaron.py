@@ -14,7 +14,7 @@ and e^S H e^-S is approximately a Jaynes-Cummings Hamiltonian with
 renormalized atom frequency eta*omega0 and interaction 2*eta*omega0*xi*
 coupling/omega_c.  e^-S |g,0> is then an approximate dressed ground state,
 and the amplitude of |e,1> in it has the closed form
--eta^(1/4)*xi*coupling/omega_c.
+-eta^(1/4)*xi*coupling/omega_c, with omega_c = 1 the unit of energy.
 """
 
 from __future__ import annotations
@@ -71,16 +71,16 @@ def solve_xi_eta(params: ModelParams) -> PolaronParams:
     Raises ValueError if the residuals have not dropped below 1e-12 after
     200 steps.
     """
-    wc, w0, lam = params.omega_c, params.omega0, params.coupling
+    w0, lam = params.omega0, params.coupling
     lo, hi, eta = 0.0, 1.0, 1.0
-    xi = wc / (wc + eta * w0)
+    xi = 1.0 / (1.0 + eta * w0)
     for k in range(FIXED_POINT_MAX_ITER):
-        xi = wc / (wc + eta * w0)
-        eta_next = np.exp(-2.0 * lam**2 * xi**2 / wc**2)
+        xi = 1.0 / (1.0 + eta * w0)
+        eta_next = np.exp(-2.0 * lam**2 * xi**2)
         if k >= _PLAIN_STEPS:
             f = eta - eta_next
             lo, hi = (lo, eta) if f > 0 else (eta, hi)
-            slope = 1.0 - 4.0 * lam**2 * xi**3 * w0 / wc**3 * eta_next
+            slope = 1.0 - 4.0 * lam**2 * xi**3 * w0 * eta_next
             eta_next = eta - f / slope if slope > 0 else -1.0
             if not lo <= eta_next <= hi:
                 eta_next = 0.5 * (lo + hi)
@@ -88,8 +88,8 @@ def solve_xi_eta(params: ModelParams) -> PolaronParams:
         eta = eta_next
         if converged:
             break
-    res_xi = abs(xi - wc / (wc + eta * w0))
-    res_eta = abs(eta - np.exp(-2.0 * lam**2 * xi**2 / wc**2))
+    res_xi = abs(xi - 1.0 / (1.0 + eta * w0))
+    res_eta = abs(eta - np.exp(-2.0 * lam**2 * xi**2))
     if res_xi > FIXED_POINT_RESIDUAL_TOL or res_eta > FIXED_POINT_RESIDUAL_TOL:
         raise ValueError(
             f"(xi, eta) fixed point did not converge at omega0={w0:g}, "
@@ -100,9 +100,9 @@ def solve_xi_eta(params: ModelParams) -> PolaronParams:
         xi=xi,
         eta=eta,
         omega0_prime=omega0_prime,
-        lambda_prime=2.0 * eta * w0 * xi * lam / wc,
+        lambda_prime=2.0 * eta * w0 * xi * lam,
         omega_prime=eta**0.25 * params.drive_amp,
-        e_approx=lam**2 * xi * (xi - 2.0) / wc - omega0_prime / 2.0,
+        e_approx=lam**2 * xi * (xi - 2.0) - omega0_prime / 2.0,
     )
 
 
@@ -110,7 +110,7 @@ def build_s(params: ModelParams, polaron: PolaronParams, space: SpaceDescriptor)
     """Anti-Hermitian generator S; acts as zero on the f sector of a 3-level space."""
     a = hilbert.annihilation(space)
     sx = hilbert.atomic_op(space, "g", "e") + hilbert.atomic_op(space, "e", "g")
-    return (params.coupling * polaron.xi / params.omega_c) * sx @ (a.conj().T - a)
+    return (params.coupling * polaron.xi) * sx @ (a.conj().T - a)
 
 
 def build_h_jc(params: ModelParams, polaron: PolaronParams, space: SpaceDescriptor) -> np.ndarray:
@@ -127,9 +127,9 @@ def build_h_jc(params: ModelParams, polaron: PolaronParams, space: SpaceDescript
     raise_e = hilbert.atomic_op(space, "e", "g")
     h = (
         0.5 * polaron.omega0_prime * sz
-        + params.omega_c * (a.conj().T @ a)
+        + a.conj().T @ a
         + polaron.lambda_prime * (a @ raise_e + a.conj().T @ raise_e.conj().T)
-        + (params.coupling**2 * polaron.xi / params.omega_c) * (polaron.xi - 2.0) * ident
+        + (params.coupling**2 * polaron.xi) * (polaron.xi - 2.0) * ident
     )
     return h
 
@@ -145,7 +145,7 @@ def approx_ground_state(
 
 def c10_approx(params: ModelParams, polaron: PolaronParams) -> float:
     """Closed-form single-virtual-photon amplitude -eta^(1/4) xi coupling / omega_c."""
-    return -polaron.eta**0.25 * polaron.xi * params.coupling / params.omega_c
+    return -polaron.eta**0.25 * polaron.xi * params.coupling
 
 
 def transformed_h_rabi(

@@ -112,14 +112,14 @@ def _guard_ground(
 
 
 def guarded_spectrum(
-    params: ModelParams, n_max: int, label: str = "", photons: tuple[int, ...] = (1,)
+    params: ModelParams, n_max: int, photons: tuple[int, ...] = (1,)
 ) -> rabi_core.SpectrumResult:
     """Diagonalize at n_max; reject if its ground pair moves at 2*n_max (_guard_ground).
 
     A converged ground pair is certified without solving at 2*n_max.
     """
     spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
-    _guard_ground(params, n_max, (spec.eigenvectors[:, 0], spec.ground_energy), label, photons)
+    _guard_ground(params, n_max, (spec.eigenvectors[:, 0], spec.ground_energy), photons=photons)
     return spec
 
 
@@ -160,7 +160,7 @@ def _resolve(
         ground2 = _ground_level(params, make_space(2 * cfg.n_max, 2))
     else:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
-    omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec, n=1, mode="exact")
+    omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec.ground_energy)
     psi0, _ = _checked(rabi_core.ground_state, spec)
     return _Run(
         params=replace(params, drive_freq=omega_p),
@@ -311,7 +311,7 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
         raise ConfigError(f"resonance-scan reads |f,3> and needs n_max >= 3, got {cfg.n_max}")
     run = _resolve(cfg, photons=(1, 3))
     p = run.params
-    predicted = {n: p.omega_f + n * p.omega_c - run.spec.ground_energy for n in (1, 2, 3)}
+    predicted = {n: p.omega_f + n - run.spec.ground_energy for n in (1, 2, 3)}
     models = {n: effective_models.multiphoton_model(p, run.spec, n) for n in (1, 3)}
     t_half = {n: effective_models.half_period(model) for n, model in models.items()}
     t_half[2] = t_half[3]  # longest horizon makes the null test strongest

@@ -33,7 +33,7 @@ with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +46,13 @@ GROUND_GAP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical frequencies and couplings, all in units of the cavity frequency.
+    """Physical frequencies and couplings, in units of the cavity frequency (omega_c = 1).
 
     omega0      bare g <-> e splitting
     coupling    atom-cavity coupling strength (lambda in the usual notation)
     omega_f     energy of the auxiliary level f
     drive_amp   classical drive strength on the e <-> f transition (Omega)
     drive_freq  classical drive frequency (omega_p)
-    omega_c     cavity frequency, fixed to 1 (all inputs are ratios to it)
     """
 
     omega0: float
@@ -61,7 +60,6 @@ class ModelParams:
     omega_f: float = 0.0
     drive_amp: float = 0.0
     drive_freq: float = 0.0
-    omega_c: float = field(default=1.0)
 
     def __post_init__(self):
         if self.omega0 <= 0:
@@ -70,8 +68,6 @@ class ModelParams:
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
         if self.drive_amp < 0:
             raise ValueError(f"drive_amp must be >= 0, got {self.drive_amp}")
-        if self.omega_c != 1.0:
-            raise ValueError("omega_c is the unit of energy and must be 1.0")
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def build_h_rabi(params: ModelParams, space: SpaceDescriptor) -> np.ndarray:
     sz = hilbert.atomic_op(space, "e", "e") - hilbert.atomic_op(space, "g", "g")
     h = (
         0.5 * params.omega0 * sz
-        + params.omega_c * (a.conj().T @ a)
+        + a.conj().T @ a
         + params.coupling * (a + a.conj().T) @ sx
     )
     return h
@@ -146,7 +142,7 @@ def _chain_bands(
     n = np.arange(space.n_photon)
     excited = (n % 2 == 0) != (parity > 0)
     rows = np.where(excited, space.index("e", 0), space.index("g", 0)) + n
-    diag = params.omega_c * n + np.where(excited, 0.5, -0.5) * params.omega0
+    diag = n + np.where(excited, 0.5, -0.5) * params.omega0
     off = params.coupling * np.sqrt(n[1:])
     return diag, off, rows
 
@@ -323,9 +319,9 @@ def certify_ground(
     return float(d_energy), float(d_amp)
 
 
-def dressed_amplitude(spectrum: SpectrumResult, n: int, m: int = 0) -> complex:
-    """Amplitude <psi_m|e,n> of the n-photon excited-atom ket in eigenstate m."""
+def dressed_amplitude(spectrum: SpectrumResult, n: int) -> complex:
+    """Amplitude c_n0 = <psi_0|e,n> of the n-photon excited-atom ket in the ground state."""
     if not 0 <= n <= spectrum.space.n_max:
         raise ValueError(f"photon index {n} outside truncation [0, {spectrum.space.n_max}]")
     idx = spectrum.space.index("e", n)
-    return complex(np.conj(spectrum.eigenvectors[idx, m]))
+    return complex(np.conj(spectrum.eigenvectors[idx, 0]))

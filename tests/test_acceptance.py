@@ -50,7 +50,7 @@ def fig3_runs(base_params, spectrum, space3):
     """Full-scale driven runs at the reported parameters for Omega in {0.2, 0.4, 0.8}."""
     psi0, _ = ground_state(spectrum)
     initial = embed_ground_state(psi0)
-    omega_p = resonance_frequency(base_params, spectrum, n=1, mode="exact")
+    omega_p = resonance_frequency(base_params, spectrum.ground_energy)
     g_slow = model_from_eigenbasis(
         ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0, drive_amp=0.2, drive_freq=omega_p),
         spectrum,
@@ -254,7 +254,7 @@ def test_criterion_8_property_suite(base_params, spectrum, space2, space3, polar
     spec_small = solve_spectrum(base_params, make_space(n_max, 2))
     psi0, _ = ground_state(spec_small)
     initial = embed_ground_state(psi0)
-    omega_p = resonance_frequency(base_params, spec_small, n=1, mode="exact")
+    omega_p = resonance_frequency(base_params, spec_small.ground_energy)
     params = ModelParams(
         omega0=1.0, coupling=0.5, omega_f=3.0, drive_amp=0.2, drive_freq=omega_p
     )

@@ -578,6 +578,21 @@ for preset, text in runs.items():
     cfg = config.load_experiment(preset, config_path=path, out=tmp / f"{preset}.csv")
     presets.run_preset(cfg)
     new[preset] = sorted(set(sys.modules) - loaded)
+
+# the library calls no preset makes: the polaron frame's exponentials and the
+# time-trace peak finder
+import numpy as np
+from usc_rabi import ModelParams, dynamics, hilbert, polaron
+params = ModelParams(omega0=1.0, coupling=0.5)
+pol = polaron.solve_xi_eta(params)
+space = hilbert.make_space(8, 2)
+hilbert.matrix_exponential(polaron.build_s(params, pol, space))
+polaron.approx_ground_state(params, pol, space)
+polaron.transformed_h_rabi(params, pol, space)
+t = np.linspace(0.0, 300.0, 3000)
+p = np.sin(0.02 * t) ** 2
+assert not dynamics.rabi_extract(dynamics.TimeSeries(
+    times=t, p_f1=p, p_f3=p, p_ground=p, norm=p, parity_leak=p)).flagged
 new["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(new))
 """

@@ -35,7 +35,7 @@ def small_setup():
     base = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0)
     spec = solve_spectrum(base, make_space(N_SMALL, 2))
     psi0, _ = ground_state(spec)
-    omega_p = resonance_frequency(base, spec, n=1, mode="exact")
+    omega_p = resonance_frequency(base, spec.ground_energy)
     return base, spec, embed_ground_state(psi0), omega_p
 
 
@@ -113,32 +113,22 @@ class TestEmbedGroundState:
 
 class TestResonanceFrequency:
     def test_exact_single_photon(self, base_params, spectrum):
-        wp = resonance_frequency(base_params, spectrum, n=1, mode="exact")
+        wp = resonance_frequency(base_params, spectrum.ground_energy)
         assert wp == pytest.approx(OMEGA_P_EXACT, abs=1e-9)
         assert wp == pytest.approx(4.633, abs=1e-3)
 
     def test_approx_single_photon(self, base_params, polaron_solution):
-        wp = resonance_frequency(base_params, polaron_solution, n=1, mode="approx")
+        wp = resonance_frequency(base_params, polaron_solution.e_approx)
         assert wp == pytest.approx(OMEGA_P_APPROX, abs=1e-9)
         assert wp == pytest.approx(4.629, abs=1e-3)
 
     def test_exact_three_photon(self, base_params, spectrum):
-        wp = resonance_frequency(base_params, spectrum, n=3, mode="exact")
+        wp = resonance_frequency(base_params, spectrum.ground_energy, n=3)
         assert wp == pytest.approx(6.633, abs=1e-3)
 
     def test_even_channel_rejected(self, base_params, spectrum):
         with pytest.raises(ValueError):
-            resonance_frequency(base_params, spectrum, n=2, mode="exact")
-
-    def test_approx_beyond_single_photon_rejected(self, base_params, polaron_solution):
-        with pytest.raises(ValueError):
-            resonance_frequency(base_params, polaron_solution, n=3, mode="approx")
-
-    def test_source_type_checked(self, base_params, spectrum, polaron_solution):
-        with pytest.raises(TypeError):
-            resonance_frequency(base_params, polaron_solution, n=1, mode="exact")
-        with pytest.raises(TypeError):
-            resonance_frequency(base_params, spectrum, n=1, mode="approx")
+            resonance_frequency(base_params, spectrum.ground_energy, n=2)
 
 
 class TestPropagate:
@@ -296,7 +286,7 @@ class TestSectorFloquet:
         for n_max in (12, 20):
             spec = solve_spectrum(base, make_space(n_max, 2))
             psi0, _ = ground_state(spec)
-            omega_p = resonance_frequency(base, spec, n=1, mode="exact")
+            omega_p = resonance_frequency(base, spec.ground_energy)
             out[n_max] = (embed_ground_state(psi0), omega_p)
         return base, out
 
@@ -607,6 +597,32 @@ class TestRabiExtract:
         feat = rabi_extract(series)
         assert feat.flagged
         assert np.isnan(feat.t_half) and np.isnan(feat.freq_fit)
+
+    def test_flat_top_peaks_at_its_middle_sample(self):
+        x = np.array([0.0, 1.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0])
+        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == [3]
+        x = np.array([0.0, 2.0, 2.0, 2.0, 0.0])
+        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == [2]
+
+    def test_maxima_at_either_end_are_not_peaks(self):
+        x = np.array([5.0, 1.0, 2.0, 1.0, 6.0])
+        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == [2]
+        # a flat top that runs into the last sample is no peak either
+        x = np.array([0.0, 1.0, 2.0, 2.0])
+        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == []
+
+    def test_ripple_below_the_prominence_floor_is_dropped(self):
+        # prominences: 4 - max(0, 3) = 1 at index 1; 3.5 - max(3, 3) = 0.5 at
+        # index 3 (the ripple between the two larger peaks); 8 - 0 at index 5
+        x = np.array([0.0, 4.0, 3.0, 3.5, 3.0, 8.0, 0.0])
+        assert dynamics._find_peaks(x, 0.0, 0.5).tolist() == [1, 3, 5]
+        assert dynamics._find_peaks(x, 0.0, 0.8).tolist() == [1, 5]
+        assert dynamics._find_peaks(x, 0.0, 1.5).tolist() == [5]
+
+    def test_maximum_below_the_height_floor_is_dropped(self):
+        x = np.array([0.0, 2.0, 0.0, 5.0, 0.0])
+        assert dynamics._find_peaks(x, 2.0, 0.0).tolist() == [1, 3]
+        assert dynamics._find_peaks(x, 3.0, 0.0).tolist() == [3]
 
     def test_single_peak_window_uses_first_maximum(self):
         g = 0.02

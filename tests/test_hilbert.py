@@ -124,6 +124,13 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.array([[np.nan]]))
 
+    def test_rejects_non_antihermitian_generator(self):
+        # exp(0.5 * h) of a Hermitian h is not unitary; only anti-Hermitian
+        # scale * m has the eigh form
+        h = random_hermitian(np.random.default_rng(5), 6)
+        with pytest.raises(ValueError):
+            matrix_exponential(h, scale=0.5)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 16))
     def test_antihermitian_gives_unitary(self, seed, dim):

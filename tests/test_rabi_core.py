@@ -29,7 +29,8 @@ class TestModelParams:
             ModelParams(omega0=1.0, coupling=-0.1)
 
     def test_rejects_rescaled_cavity(self):
-        with pytest.raises(ValueError):
+        # omega_c = 1 is the unit of energy, not a parameter
+        with pytest.raises(TypeError):
             ModelParams(omega0=1.0, coupling=0.1, omega_c=2.0)
 
 

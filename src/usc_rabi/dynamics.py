@@ -26,7 +26,7 @@ start state:
   coupling and the drive keep closed (the embedded ground state lies in it).
   The CF4 factors then repeat every period: they are built on the sector by
   a real eigendecomposition, multiplied into the one-period propagator U(T),
-  and the sampled states are read off psi(qT + r dt) = P_r U(T)^q psi(0),
+  and each sample is read off psi(qT + r dt) = P_r U(T)^q psi(0),
   with P_r the first r factors of the period (Shirley, Phys. Rev. 138, B979
   (1965)).  Two symmetries of the drive fold the period further.  It is even
   in time and the Gauss nodes sum to 1, so factor n_per-1-r is the transpose
@@ -100,28 +100,38 @@ class PropagationConfig:
     norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt <= 0:
-            raise ValueError("t_end and dt must be positive")
+        for name in ("t_end", "dt", "norm_tol"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails it too
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of a run to t_end: t_end/dt rounded to the nearest whole step, at least one."""
+    return max(1, int(round(t_end / dt)))
+
+
 def default_config(params: ModelParams, t_end: float, **overrides) -> PropagationConfig:
-    """Propagation defaults: dt = 2*pi/(200*drive_freq), >= 2000 samples."""
+    """Propagation defaults: dt = 2*pi/(200*drive_freq), >= 2000 samples.
+
+    An override of None takes the default; any other value is checked by
+    PropagationConfig.
+    """
     if params.drive_freq <= 0:
         raise ValueError(
             f"default propagation grid needs drive_freq > 0, got {params.drive_freq:g}"
         )
-    dt = overrides.pop("dt", None) or 2.0 * np.pi / (
-        DEFAULT_STEPS_PER_DRIVE_CYCLE * params.drive_freq
-    )
-    n_steps = max(1, int(round(t_end / dt)))
-    sample_every = overrides.pop("sample_every", None) or max(
-        1, n_steps // DEFAULT_MIN_SAMPLES
-    )
-    return PropagationConfig(
-        t_end=t_end, dt=dt, sample_every=sample_every, **overrides
-    )
+    dt = overrides.pop("dt", None)
+    if dt is None:
+        dt = 2.0 * np.pi / (DEFAULT_STEPS_PER_DRIVE_CYCLE * params.drive_freq)
+    sample_every = overrides.pop("sample_every", None)
+    # checked before the default sample_every divides by dt
+    config = PropagationConfig(t_end=t_end, dt=dt, **overrides)
+    if sample_every is None:
+        sample_every = max(1, step_count(t_end, dt) // DEFAULT_MIN_SAMPLES)
+    return replace(config, sample_every=sample_every)
 
 
 def check_dt(params: ModelParams, dt: float) -> None:
@@ -158,7 +168,6 @@ class TimeSeries:
     p_ground: np.ndarray
     norm: np.ndarray
     parity_leak: np.ndarray
-    states: np.ndarray | None = None
 
 
 def static_hamiltonian(params: ModelParams, space: SpaceDescriptor) -> np.ndarray:
@@ -230,15 +239,15 @@ def propagate(
     space: SpaceDescriptor,
     config: PropagationConfig,
     initial: np.ndarray,
-    keep_states: bool = False,
     factors: dict | None = None,
 ) -> TimeSeries:
     """Propagate the driven Schroedinger equation and sample observables.
 
     The initial state must be normalized on the 3-level space (usually the
     embedded exact dressed ground state).  Samples are taken every
-    config.sample_every steps plus the final step; aborts with NormDriftError
-    naming the earliest sample whose norm leaves 1 +- norm_tol.
+    config.sample_every steps plus the final step; only the observables of
+    TimeSeries are kept, not the states.  Aborts with NormDriftError naming
+    the earliest sample whose norm leaves 1 +- norm_tol.
 
     The series is computed on one of two paths.  With a drive with
     drive_freq > 0, a step that divides the drive period to PERIOD_GRID_RTOL,
@@ -268,10 +277,8 @@ def propagate(
     sector = np.concatenate([even, even[space.n_photon :]])
     n_per = _steps_per_period(params, config.dt)
     if n_per and not np.any(initial[~sector]):
-        return _propagate_sector(
-            params, space, config, initial, keep_states, sector, n_per, factors
-        )
-    return _step_loop(params, space, config, initial, keep_states)
+        return _propagate_sector(params, space, config, initial, sector, n_per, factors)
+    return _step_loop(params, space, config, initial)
 
 
 def _steps_per_period(params: ModelParams, dt: float) -> int:
@@ -310,7 +317,6 @@ def _propagate_sector(
     space: SpaceDescriptor,
     config: PropagationConfig,
     initial: np.ndarray,
-    keep_states: bool,
     sector: np.ndarray,
     n_per: int,
     factors: dict | None = None,
@@ -349,8 +355,6 @@ def _propagate_sector(
     d_r = ||P_r^H P_r - I||_F at each needed r, which bounds the 2-norm, so
     | ||P_r c|| - ||c|| | <= d_r ||c||; the drift guard fires on
     |1 - ||c||| + d_r ||c|| > norm_tol, an upper bound on the true drift.
-    With keep_states the identity is appended to W, so the states are read
-    off the same products.
 
     The drive strengths of step r come from its grid phases 2*pi*(r + c_k)/n_per,
     the periodicity the fold already assumes, so the factors' (w, q) depend on
@@ -407,7 +411,7 @@ def _propagate_sector(
 
     # sample at step m = seg * n_seg + s with s in 1..n_seg (0 only for m = 0);
     # it is P_at applied to the start column of phi_base, conjugated when `back`
-    n_steps = max(1, int(round(config.t_end / dt)))
+    n_steps = step_count(config.t_end, dt)
     every = config.sample_every
     # sorted and distinct without np.unique, which imports numpy.ma on first use
     marks = np.append(np.arange(0, n_steps, every), n_steps)
@@ -425,8 +429,6 @@ def _propagate_sector(
     if space.n_max >= 3:
         probe[1, pos[space.index("f", 3)]] = 1.0
     probe[2:] = psi0.conj(), psi0.conj() * m_sign, psi0, psi0 * m_sign
-    if keep_states:
-        probe = np.vstack([probe, np.eye(dim)])
 
     # the pass: P_0 ... P_ceil(L/2), recording the probe rows and the defect at
     # every r a sample needs; then M P_L = P_ceil^T M P_floor
@@ -459,17 +461,12 @@ def _propagate_sector(
     pf1, pf3, pg = np.empty(n), np.empty(n), np.empty(n)
     # probe row of p_ground: psi0^H or psi0^T, times S for odd base
     ground_row = 2 + 2 * back + base % 2
-    kept = np.empty((n, dim), dtype=complex) if keep_states else None
     for r in np.flatnonzero(needed):
         hit = np.flatnonzero(at == r)
         v = rows[r] @ cols[:, column[hit]]
         pf1[hit] = np.abs(v[0]) ** 2
         pf3[hit] = np.abs(v[1]) ** 2
         pg[hit] = np.abs(v[ground_row[hit], np.arange(hit.size)]) ** 2
-        if kept is not None:
-            states = np.where(back[hit], v[6:].conj(), v[6:])
-            states *= np.where(base[hit] % 2, m_sign[:, None], 1.0)
-            kept[hit] = states.T
 
     times = marks * dt
     norms = np.linalg.norm(cols, axis=0)[column]
@@ -478,13 +475,8 @@ def _propagate_sector(
     if drift.size:
         k = drift[0]
         raise _norm_drift(norms[k], times[k], config, slack[k])
-    states = None
-    if kept is not None:
-        states = np.zeros((n, space.dim), dtype=complex)
-        states[:, sector] = kept
     return TimeSeries(
-        times=times, p_f1=pf1, p_f3=pf3, p_ground=pg, norm=norms,
-        parity_leak=np.zeros(n), states=states,
+        times=times, p_f1=pf1, p_f3=pf3, p_ground=pg, norm=norms, parity_leak=np.zeros(n)
     )
 
 
@@ -493,7 +485,6 @@ def _step_loop(
     space: SpaceDescriptor,
     config: PropagationConfig,
     initial: np.ndarray,
-    keep_states: bool = False,
 ) -> TimeSeries:
     """Full-space step loop of propagate; the oracle the sector path is tested against."""
     h_static = static_hamiltonian(params, space)
@@ -508,7 +499,7 @@ def _step_loop(
         np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) < 0
     )
 
-    n_steps = max(1, int(round(config.t_end / config.dt)))
+    n_steps = step_count(config.t_end, config.dt)
     dt = config.dt
     # spectral-norm bound for the Taylor substep count of a half-step factor
     h_norm = float(np.linalg.norm(h_static, 2)) + abs(params.drive_amp)
@@ -527,7 +518,6 @@ def _step_loop(
     psi = initial.copy()
     psi0 = initial
     times, pf1, pf3, pg, norms, leaks = [], [], [], [], [], []
-    states = [] if keep_states else None
 
     def sample(t: float):
         nrm = float(np.linalg.norm(psi))
@@ -539,8 +529,6 @@ def _step_loop(
         pg.append(abs(np.vdot(psi0, psi)) ** 2)
         norms.append(nrm)
         leaks.append(float(np.max(np.abs(psi[forbidden]))))
-        if states is not None:
-            states.append(psi.copy())
 
     sample(0.0)
     t = 0.0
@@ -558,7 +546,6 @@ def _step_loop(
         p_ground=np.array(pg),
         norm=np.array(norms),
         parity_leak=np.array(leaks),
-        states=np.array(states) if states is not None else None,
     )
 
 

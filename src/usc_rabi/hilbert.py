@@ -97,11 +97,10 @@ def atomic_op(space: SpaceDescriptor, bra_level: str, ket_level: str) -> np.ndar
 def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     """exp(a) = v diag(exp(-1j*w)) v^H for the anti-Hermitian a = scale*m, 1j*a = v diag(w) v^H.
 
-    Unitary to rounding; eigh rejects an a that is not anti-Hermitian (ValueError).
+    Unitary to rounding; eigh rejects an a that is not finite and anti-Hermitian
+    (ValueError).
     """
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
     w, v = eigh(1j * (scale * m))
     return (v * np.exp(-1j * w)) @ v.conj().T
 
@@ -112,6 +111,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+    """Raise ValueError unless m is finite and Hermitian to tol (relative to its largest entry)."""
+    # a NaN defect would compare false and pass
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
     defect = hermiticity_defect(m)
     if defect > tol * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
@@ -121,7 +124,7 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense Hermitian eigendecomposition, the exact-diagonalization oracle.
 
     Returns (eigenvalues ascending, eigenvectors as columns of a unitary).
-    Rejects non-Hermitian input.  Real input stays real (orthogonal
+    Rejects non-finite or non-Hermitian input.  Real input stays real (orthogonal
     eigenvectors).
     """
     m = np.asarray(m)

@@ -202,7 +202,7 @@ def _prop_config(
     )
     _checked(dynamics.check_dt, params, prop.dt)  # the bound propagate enforces
     if snap:
-        return replace(prop, t_end=max(1, int(round(prop.t_end / prop.dt))) * prop.dt)
+        return replace(prop, t_end=dynamics.step_count(prop.t_end, prop.dt) * prop.dt)
     if prop.t_end < prop.dt:
         raise ConfigError(
             f"t_end={prop.t_end:.4g} is shorter than one step (dt={prop.dt:.4g}); "

@@ -131,6 +131,24 @@ class TestResonanceFrequency:
             resonance_frequency(base_params, spectrum.ground_energy, n=2)
 
 
+class TestPropagationConfig:
+    @pytest.mark.parametrize("name", ["t_end", "dt", "norm_tol"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+    def test_rejects_non_positive(self, name, value):
+        fields = {"t_end": 5.0, "dt": 0.01, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            PropagationConfig(**fields)
+
+    @pytest.mark.parametrize("override", [{"dt": 0.0}, {"sample_every": 0},
+                                          {"norm_tol": np.nan}])
+    def test_default_config_checks_each_override(self, override):
+        # an override of 0 is a value, not a request for the default
+        params = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0,
+                             drive_amp=0.2, drive_freq=4.6)
+        with pytest.raises(ValueError):
+            default_config(params, t_end=5.0, **override)
+
+
 class TestPropagate:
     def test_undriven_f_sector_stays_empty(self, small_setup):
         base, _, initial, omega_p = small_setup
@@ -242,17 +260,8 @@ class TestPropagate:
         with pytest.raises(ValueError, match="too coarse"):
             propagate(params, space3, PropagationConfig(t_end=1.0, dt=1.01 * bound), initial)
 
-    def test_keep_states(self, small_setup):
-        base, _, initial, omega_p = small_setup
-        params = _driven(base, 0.2, omega_p)
-        cfg = default_config(params, t_end=2.0)
-        series = propagate(params, make_space(N_SMALL, 3), cfg, initial, keep_states=True)
-        assert series.states is not None
-        assert series.states.shape == (len(series.times), 3 * (N_SMALL + 1))
-        assert np.allclose(series.states[0], initial)
 
-
-FIELDS = ("times", "p_f1", "p_f3", "p_ground", "norm", "parity_leak", "states")
+FIELDS = ("times", "p_f1", "p_f3", "p_ground", "norm", "parity_leak")
 
 
 def _sector_mask(space):
@@ -269,7 +278,7 @@ def _embedded_ground(base, n_max):
 
 
 def _fields(series):
-    return {f: getattr(series, f) for f in FIELDS if getattr(series, f) is not None}
+    return {f: getattr(series, f) for f in FIELDS}
 
 
 def _refuse(*args, **kwargs):
@@ -290,29 +299,29 @@ class TestSectorFloquet:
             out[n_max] = (embed_ground_state(psi0), omega_p)
         return base, out
 
-    # (n_max, steps per period, sample_every, t_end in periods, drive_amp, keep_states)
-    @pytest.mark.parametrize("n_max, n_per, every, periods, amp, keep", [
-        (12, 200, 1, 5.37, 0.2, True),    # t_end off a period multiple
-        (12, 200, 7, 4.0, 0.4, False),    # on a period multiple; 7 does not divide 200
-        (20, 400, 7, 3.51, 0.2, False),
-        (20, 200, 1, 2.2, 0.2, True),
-        (12, 400, 1, 0.63, 0.2, False),   # t_end < T: every sample in the first period
-        (12, 200, 7, 3.3, 0.0, True),     # drive off, drive_freq > 0
-        (12, 201, 3, 2.6, 0.2, True),     # odd n_per: time reversal alone folds the period
-        (20, 202, 5, 3.3, 0.2, False),    # half period of 101 steps, an odd segment
-        (20, 50, 1, 4.4, 0.4, True),      # the coarsest grid propagate accepts
-        (12, 200, 1, 0.2, 0.2, True),     # t_end < T/4: every sample steps forward
+    # (n_max, steps per period, sample_every, t_end in periods, drive_amp)
+    @pytest.mark.parametrize("n_max, n_per, every, periods, amp", [
+        (12, 200, 1, 5.37, 0.2),    # t_end off a period multiple
+        (12, 200, 7, 4.0, 0.4),     # on a period multiple; 7 does not divide 200
+        (20, 400, 7, 3.51, 0.2),
+        (20, 200, 1, 2.2, 0.2),
+        (12, 400, 1, 0.63, 0.2),    # t_end < T: every sample in the first period
+        (12, 200, 7, 3.3, 0.0),     # drive off, drive_freq > 0
+        (12, 201, 3, 2.6, 0.2),     # odd n_per: time reversal alone folds the period
+        (20, 202, 5, 3.3, 0.2),     # half period of 101 steps, an odd segment
+        (20, 50, 1, 4.4, 0.4),      # the coarsest grid propagate accepts
+        (12, 200, 1, 0.2, 0.2),     # t_end < T/4: every sample steps forward
     ])
-    def test_matches_step_loop(self, setups, monkeypatch, n_max, n_per, every, periods, amp, keep):
+    def test_matches_step_loop(self, setups, monkeypatch, n_max, n_per, every, periods, amp):
         base, by_n = setups
         initial, omega_p = by_n[n_max]
         params = _driven(base, amp, omega_p)
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=periods * period, dt=period / n_per, sample_every=every)
         space = make_space(n_max, 3)
-        oracle = dynamics._step_loop(params, space, cfg, initial, keep_states=keep)
+        oracle = dynamics._step_loop(params, space, cfg, initial)
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        fast = propagate(params, space, cfg, initial, keep_states=keep)
+        fast = propagate(params, space, cfg, initial)
         want, got = _fields(oracle), _fields(fast)
         assert want.keys() == got.keys()
         for name in want:
@@ -320,15 +329,13 @@ class TestSectorFloquet:
             assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
         assert np.array_equal(fast.times, oracle.times)
         assert np.all(fast.parity_leak == 0.0)
-        if keep:
-            assert np.all(fast.states[:, ~_sector_mask(space)] == 0.0)
 
         # strengths from the step's time r*dt, as _step_loop computes them,
         # instead of from its grid phase: the two differ by rounding alone
         gammas = dynamics._cf4_gammas
         monkeypatch.setattr(dynamics, "_cf4_gammas",
                             lambda _grid, r, _one: gammas(params, r * cfg.dt, cfg.dt))
-        timed = _fields(propagate(params, space, cfg, initial, keep_states=keep))
+        timed = _fields(propagate(params, space, cfg, initial))
         for name in got:
             assert np.max(np.abs(got[name] - timed[name])) < 1e-12, name
 
@@ -342,17 +349,18 @@ class TestSectorFloquet:
         assert dynamics._steps_per_period(params, dt) == 200
         cfg = PropagationConfig(t_end=4.3 * period, dt=dt, sample_every=3)
         space = make_space(N_SMALL, 3)
-        oracle = _fields(dynamics._step_loop(params, space, cfg, initial, keep_states=True))
+        oracle = _fields(dynamics._step_loop(params, space, cfg, initial))
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        got = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        got = _fields(propagate(params, space, cfg, initial))
         for name in oracle:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
 
     @pytest.mark.parametrize("n_per", [200, 201])
     def test_matches_step_loop_from_f_weighted_state(self, small_setup, monkeypatch, n_per):
         # S = diag(+1 on g, e; -1 on f) and the conjugation of the mirrored
-        # samples act on the f rows and the phases, which p_ground and the
-        # states see only when the initial state has f weight and complex phases
+        # samples act on the f rows and the phases; p_ground is the only output
+        # they reach, and it sees them only when the initial state has f weight
+        # and complex phases
         base, _, _, omega_p = small_setup
         params = _driven(base, 0.3, omega_p)
         space = make_space(N_SMALL, 3)
@@ -363,9 +371,9 @@ class TestSectorFloquet:
         initial /= np.linalg.norm(initial)
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=2.7 * period, dt=period / n_per, sample_every=3)
-        oracle = _fields(dynamics._step_loop(params, space, cfg, initial, keep_states=True))
+        oracle = _fields(dynamics._step_loop(params, space, cfg, initial))
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        got = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        got = _fields(propagate(params, space, cfg, initial))
         for name in oracle:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
 
@@ -446,9 +454,8 @@ class TestSectorFloquet:
                 monkeypatch.setattr(dynamics, "static_hamiltonian", static)
             start = initial if n_max == N_SMALL else _embedded_ground(base, n_max)
             cfg = PropagationConfig(t_end=2.3 * period, dt=period / n_per, sample_every=4)
-            shared = _fields(propagate(params, space, cfg, start, keep_states=True,
-                                       factors=factors))
-            alone = _fields(propagate(params, space, cfg, start, keep_states=True))
+            shared = _fields(propagate(params, space, cfg, start, factors=factors))
+            alone = _fields(propagate(params, space, cfg, start))
             assert all(np.array_equal(shared[f], alone[f]) for f in alone), (amp, n_per, n_max)
 
     def test_rejects_hamiltonian_without_half_period_symmetry(self, small_setup, monkeypatch):
@@ -469,8 +476,8 @@ class TestSectorFloquet:
         params = _driven(base, 0.2, omega_p)
         cfg = default_config(params, t_end=12.0)
         space = make_space(N_SMALL, 3)
-        a = _fields(propagate(params, space, cfg, initial, keep_states=True))
-        b = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        a = _fields(propagate(params, space, cfg, initial))
+        b = _fields(propagate(params, space, cfg, initial))
         assert all(np.array_equal(a[name], b[name]) for name in FIELDS)
 
     def test_norm_drift_names_earliest_sample(self, small_setup, monkeypatch):
@@ -534,9 +541,9 @@ class TestSectorFloquet:
         else:
             params = _driven(base, 0.2, 0.0)
         cfg = PropagationConfig(t_end=3.0, dt=dt, sample_every=3, norm_tol=1e-7)
-        oracle = _fields(dynamics._step_loop(params, space, cfg, initial, keep_states=True))
+        oracle = _fields(dynamics._step_loop(params, space, cfg, initial))
         monkeypatch.setattr(dynamics, "_propagate_sector", _refuse)
-        got = _fields(propagate(params, space, cfg, initial, keep_states=True))
+        got = _fields(propagate(params, space, cfg, initial))
         assert all(np.array_equal(got[name], oracle[name]) for name in FIELDS)
 
     # a Hermitian perturbation that couples the sectors, or one that is not real

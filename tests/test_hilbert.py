@@ -149,6 +149,12 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        # a NaN Hermiticity defect compares false, so the finite check comes first
+        with pytest.raises(ValueError, match="non-finite"):
+            eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_decoupled_rabi_ground(self):
         params = ModelParams(omega0=0.7, coupling=0.0)
         w, _ = eigh(build_h_rabi(params, make_space(20, 2)))

@@ -16,17 +16,19 @@ at the Gauss-Legendre nodes of the step,
 which is exactly unitary per step and keeps every sampled probability stable
 to ~1e-9 under step halving at the default grid.
 
-propagate runs it on one of two paths, chosen from the drive period and the
-start state:
+propagate runs it on the driven parity sector {|g,even>, |e,odd>, |f,odd>}.
+The Rabi coupling conserves parity and the drive couples |e,n> only to
+|f,n>, so a state that starts in the sector never leaves it; the embedded
+ground state starts there, and a start state with weight outside it is a
+ValueError.  The sector blocks of the static part and of the drive are cut
+once from the full-space builders, which checks that they are real and keep
+the sector closed, and one of two integrators steps them:
 
-- sector-Floquet: when the drive is periodic (drive_freq > 0),
-  dt divides its period T = 2*pi/drive_freq to 1e-12 relative (the default
-  dt = T/200 and its halving T/400 do), and the initial state is exactly zero
-  outside the parity sector {|g,even>, |e,odd>, |f,odd>} that the Rabi
-  coupling and the drive keep closed (the embedded ground state lies in it).
-  The CF4 factors then repeat every period: they are built on the sector by
-  a real eigendecomposition, multiplied into the one-period propagator U(T),
-  and each sample is read off psi(qT + r dt) = P_r U(T)^q psi(0),
+- folded period: when the drive is periodic (drive_freq > 0) and dt divides
+  its period T = 2*pi/drive_freq to 1e-12 relative (the default dt = T/200
+  and its halving T/400 do), the CF4 factors repeat every period: they are
+  built by a real eigendecomposition, multiplied into the one-period
+  propagator U(T), and each sample is read off psi(qT + r dt) = P_r U(T)^q psi(0),
   with P_r the first r factors of the period (Shirley, Phys. Rev. 138, B979
   (1965)).  Two symmetries of the drive fold the period further.  It is even
   in time and the Gauss nodes sum to 1, so factor n_per-1-r is the transpose
@@ -45,11 +47,14 @@ start state:
   factors argument of propagate.  The norm reported is that of the segment
   start, and the drift guard adds the recorded unitarity defect of P_r, so
   it bounds the true drift from above.
-- step loop: every other input (a step off the period grid, no drive
-  frequency, a state with weight outside the sector)
-  steps the full 3-level space, applying each exponential to the state by an
-  adaptive Taylor expansion exact to machine precision at the step sizes
-  used here.  It is also the oracle the sector path is tested against.
+- step loop: a step off the period grid, or no drive frequency, steps the
+  sector one CF4 step at a time, applying each exponential to the state by
+  an adaptive Taylor expansion exact to machine precision at the step sizes
+  used here.  It makes no eigendecomposition, so it is the oracle the folded
+  period is tested against.
+
+Both read the same probe rows (<f,1|, <f,3| and the initial state) and pass
+the same norm-drift guard.
 
 rabi_extract reads the Rabi frequency off a trace with a numpy peak finder.
 """
@@ -102,8 +107,8 @@ class PropagationConfig:
     def __post_init__(self):
         for name in ("t_end", "dt", "norm_tol"):
             value = getattr(self, name)
-            if not value > 0:  # NaN fails it too
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not 0 < value < np.inf:  # NaN fails it too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
 
@@ -152,14 +157,13 @@ def check_dt(params: ModelParams, dt: float) -> None:
 class TimeSeries:
     """Sampled observables of a propagation run.
 
-    p_ground is the overlap probability with the initial (dressed ground)
-    state; parity_leak tracks the largest amplitude on the parity-forbidden
-    {|g,odd>, |e,even>} basis states.  The Hamiltonian builders give exact-zero
-    cross-sector blocks and the CF4 steps keep exact zeros, so from a state
-    in the sector the leak reads exactly 0 on both paths: it catches a builder
-    that couples the sectors, not integrator error.  norm is the state norm
-    on the step loop; on the sector path it is the norm of the sample's
-    segment-start column (see _propagate_sector).
+    p_f1 and p_f3 are the populations of |f,1> and |f,3> (p_f3 is 0 below
+    n_max 3), and p_ground is the overlap probability with the initial
+    (dressed ground) state.  norm is the state norm on the step loop; on the
+    folded period it is the norm of the sample's segment-start column (see
+    _propagate_sector).  The state is held on the driven parity sector
+    alone, so no field measures a leak out of it: a Hamiltonian that couples
+    the sectors is a ValueError of propagate.
     """
 
     times: np.ndarray
@@ -167,7 +171,6 @@ class TimeSeries:
     p_f3: np.ndarray
     p_ground: np.ndarray
     norm: np.ndarray
-    parity_leak: np.ndarray
 
 
 def static_hamiltonian(params: ModelParams, space: SpaceDescriptor) -> np.ndarray:
@@ -244,18 +247,20 @@ def propagate(
     """Propagate the driven Schroedinger equation and sample observables.
 
     The initial state must be normalized on the 3-level space (usually the
-    embedded exact dressed ground state).  Samples are taken every
-    config.sample_every steps plus the final step; only the observables of
-    TimeSeries are kept, not the states.  Aborts with NormDriftError naming
-    the earliest sample whose norm leaves 1 +- norm_tol.
+    embedded exact dressed ground state) and lie in the driven parity sector
+    {|g,even>, |e,odd>, |f,odd>}: weight outside it raises ValueError naming
+    the largest amplitude there.  Samples are taken every config.sample_every
+    steps plus the final step; only the observables of TimeSeries are kept,
+    not the states.  Aborts with NormDriftError naming the earliest sample
+    whose norm leaves 1 +- norm_tol.
 
-    The series is computed on one of two paths.  With a drive with
-    drive_freq > 0, a step that divides the drive period to PERIOD_GRID_RTOL,
-    and an initial state exactly zero outside the driven parity sector, it
-    runs on that sector one drive period at a time (_propagate_sector).
-    Every other input runs the full-space step loop (_step_loop).
+    The sector blocks of the static part and the drive, the probe rows and
+    the sample steps are built once.  With a drive with drive_freq > 0 and a
+    step that divides the drive period to PERIOD_GRID_RTOL, the sector runs
+    one folded drive period at a time (_propagate_sector); otherwise it runs
+    CF4 step by step (_step_loop).
 
-    factors is an optional caller-owned dict in which the sector path keeps
+    factors is an optional caller-owned dict in which the folded period keeps
     the eigendecompositions of its quarter period of half-step factors.  On
     the period grid they depend on the sector matrices, drive_amp and the
     steps per period alone, not on drive_freq or dt, so calls that share
@@ -275,10 +280,57 @@ def propagate(
     # drive |f><e| + |e><f| gives f the parity of e
     even = np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) > 0
     sector = np.concatenate([even, even[space.n_photon :]])
+    outside = np.where(sector, 0.0, np.abs(initial))
+    if np.any(outside):
+        k = int(np.argmax(outside))
+        level, n = space.level_photon(k)
+        raise ValueError(
+            "initial state has weight outside the driven parity sector "
+            f"{{|g,even>, |e,odd>, |f,odd>}}: amplitude {outside[k]:.3g} on |{level},{n}>"
+        )
+
+    def sector_block(m: np.ndarray) -> np.ndarray:
+        if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
+            raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
+        return m[np.ix_(sector, sector)].real
+
+    # one at a time: two full-space matrices alive together set the peak memory
+    h_s = sector_block(static_hamiltonian(params, space))
+    v_s = sector_block(drive_operator(space))
+
+    psi0 = initial[sector]
+    pos = np.cumsum(sector) - 1
+    probe = np.zeros((3, len(psi0)), dtype=complex)
+    probe[0, pos[space.index("f", 1)]] = 1.0
+    if space.n_max >= 3:
+        probe[1, pos[space.index("f", 3)]] = 1.0
+    probe[2] = psi0.conj()
+
+    n_steps = step_count(config.t_end, config.dt)
+    # sorted and distinct without np.unique, which imports numpy.ma on first use
+    marks = np.append(np.arange(0, n_steps, config.sample_every), n_steps)
     n_per = _steps_per_period(params, config.dt)
-    if n_per and not np.any(initial[~sector]):
-        return _propagate_sector(params, space, config, initial, sector, n_per, factors)
-    return _step_loop(params, space, config, initial)
+    if n_per:
+        # S = diag(+1 on g, e; -1 on f) on the sector
+        s_sign = np.where(np.flatnonzero(sector) < 2 * space.n_photon, 1.0, -1.0)
+        amps, norms, slack = _propagate_sector(
+            params, config.dt, h_s, v_s, psi0, probe, marks, s_sign, n_per, factors
+        )
+    else:
+        amps, norms, slack = _step_loop(params, config.dt, h_s, v_s, psi0, probe, marks)
+
+    times = marks * config.dt
+    drift = np.flatnonzero(np.abs(norms - 1.0) + slack > config.norm_tol)
+    if drift.size:
+        k = drift[0]
+        # slack bounds how far the true norm may sit from the reported one
+        within = f" +- {slack[k]:.1e}" if slack[k] else ""
+        raise NormDriftError(
+            f"norm drifted to {norms[k]:.12f}{within} at t={times[k]:.4f} "
+            f"(tolerance {config.norm_tol:g})"
+        )
+    p_f1, p_f3, p_ground = np.abs(amps) ** 2
+    return TimeSeries(times=times, p_f1=p_f1, p_f3=p_f3, p_ground=p_ground, norm=norms)
 
 
 def _steps_per_period(params: ModelParams, dt: float) -> int:
@@ -288,17 +340,6 @@ def _steps_per_period(params: ModelParams, dt: float) -> int:
     period = 2.0 * np.pi / params.drive_freq
     n_per = int(round(period / dt))
     return n_per if abs(n_per * dt - period) <= PERIOD_GRID_RTOL * period else 0
-
-
-def _norm_drift(
-    nrm: float, t: float, config: PropagationConfig, slack: float = 0.0
-) -> NormDriftError:
-    """slack bounds how far the true norm may sit from the reported nrm."""
-    within = f" +- {slack:.1e}" if slack else ""
-    return NormDriftError(
-        f"norm drifted to {nrm:.12f}{within} at t={t:.4f} "
-        f"(tolerance {config.norm_tol:g})"
-    )
 
 
 def _cf4_gammas(params: ModelParams, t: float, dt: float) -> tuple[float, float]:
@@ -314,17 +355,18 @@ def _cf4_gammas(params: ModelParams, t: float, dt: float) -> tuple[float, float]
 
 def _propagate_sector(
     params: ModelParams,
-    space: SpaceDescriptor,
-    config: PropagationConfig,
-    initial: np.ndarray,
-    sector: np.ndarray,
+    dt: float,
+    h_s: np.ndarray,
+    v_s: np.ndarray,
+    psi0: np.ndarray,
+    probe: np.ndarray,
+    marks: np.ndarray,
+    s_sign: np.ndarray,
     n_per: int,
     factors: dict | None = None,
-) -> TimeSeries:
-    """CF4 on the driven parity sector, one folded drive period at a time.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CF4 on the sector blocks h_s, v_s, one folded drive period at a time.
 
-    The Rabi coupling and the drive keep {|g,even>, |e,odd>, |f,odd>} closed,
-    so the state never leaves it and parity_leak is exactly 0 by construction.
     Step r of every period applies the same CF4 factor F(r) = E(b) E(a), each
     half-step E = q diag(exp(-i (dt/2) w)) q^T from a real eigh, so E^T = E.
     Let P_m = F(m-1)...F(0), so U(T) = P_n_per.  Two symmetries fold a period:
@@ -332,8 +374,8 @@ def _propagate_sector(
     - time reversal: the Gauss nodes sum to 1 and the drive is even in t, so
       F(n_per-1-r) = F(r)^T;
     - half-period shift (n_per even): the drive changes sign over T/2, and
-      S = diag(+1 on g, e; -1 on f) commutes with the static part and
-      anticommutes with the drive, so F(r + n_per/2) = S F(r) S.
+      S = diag(s_sign) commutes with the static part and anticommutes with
+      the drive, so F(r + n_per/2) = S F(r) S.
 
     Take segments of L = n_per/2 steps and M = S (L = n_per and M = 1 when
     n_per is odd).  Then P_L = M P_ceil(L/2)^T M P_floor(L/2), and, each P
@@ -345,38 +387,30 @@ def _propagate_sector(
     s <= ceil(L/2), and otherwise M^(i+1) conj(P_{L-s} c) with c =
     conj(phi_{i+1}).  So every sample is P_r c for some r <= ceil(L/2), and
     what it reports is linear in P_r c: the pass records, at each r a sample
-    needs, the probe rows W P_r, with W the rows e_f1^T, e_f3^T, psi0^H,
-    psi0^H S, psi0^T and psi0^T S (the transposed rows serve the backward
-    samples, read by conjugation).  Each sample is then read off as one row
-    product with its start column, grouped by r.  The pass builds each
-    distinct factor once: n_per/2 eigendecompositions for even n_per.
+    needs, the probe rows W P_r, with W the rows <f,1|, <f,3|, psi0^H of
+    propagate and psi0^H S, psi0^T and psi0^T S (the transposed rows serve
+    the backward samples, read by conjugation; M leaves |<f,n|...>| alone).
+    Each sample is then read off as one row product with its start column,
+    grouped by r.  The pass builds each distinct factor once: n_per/2
+    eigendecompositions for even n_per.  The amplitudes returned at the
+    sample steps marks are the probe overlaps up to a phase.
 
-    The norm reported is ||c||.  The pass also records the unitarity defect
+    The norm returned is ||c||.  The pass also records the unitarity defect
     d_r = ||P_r^H P_r - I||_F at each needed r, which bounds the 2-norm, so
-    | ||P_r c|| - ||c|| | <= d_r ||c||; the drift guard fires on
-    |1 - ||c||| + d_r ||c|| > norm_tol, an upper bound on the true drift.
+    | ||P_r c|| - ||c|| | <= d_r ||c||; the slack returned is d_r ||c||, and
+    the drift guard fires on |1 - ||c||| + d_r ||c|| > norm_tol, an upper
+    bound on the true drift.
 
     The drive strengths of step r come from its grid phases 2*pi*(r + c_k)/n_per,
     the periodicity the fold already assumes, so the factors' (w, q) depend on
     (h_s, v_s, drive_amp, n_per) alone; factors, when given, keeps them under
     that key (see propagate).
     """
-    def sector_block(m: np.ndarray) -> np.ndarray:
-        if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
-            raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
-        return m[np.ix_(sector, sector)].real
-
-    # one at a time: two full-space matrices alive together set the peak memory
-    h_s = sector_block(static_hamiltonian(params, space))
-    v_s = sector_block(drive_operator(space))
-    dt = config.dt
     dim = h_s.shape[0]
-
     if n_per % 2:
         n_seg, m_sign = n_per, np.ones(dim)
     else:
-        # S = diag(+1 on g, e; -1 on f) on the sector; S X S = flip * X
-        s_sign = np.where(np.flatnonzero(sector) < 2 * space.n_photon, 1.0, -1.0)
+        # S X S = flip * X
         flip = s_sign[:, None] * s_sign
         if np.any(h_s[flip < 0]) or np.any(v_s[flip > 0]):
             raise ValueError("the f level must couple to g and e through the drive alone")
@@ -411,10 +445,6 @@ def _propagate_sector(
 
     # sample at step m = seg * n_seg + s with s in 1..n_seg (0 only for m = 0);
     # it is P_at applied to the start column of phi_base, conjugated when `back`
-    n_steps = step_count(config.t_end, dt)
-    every = config.sample_every
-    # sorted and distinct without np.unique, which imports numpy.ma on first use
-    marks = np.append(np.arange(0, n_steps, every), n_steps)
     seg = np.maximum(marks - 1, 0) // n_seg
     s = marks - seg * n_seg
     back = s > n_mid
@@ -422,13 +452,8 @@ def _propagate_sector(
     at = np.where(back, n_seg - s, s)
     keys, column = np.unique(2 * base + back, return_inverse=True)
 
-    psi0 = initial[sector]
-    pos = np.cumsum(sector) - 1
-    probe = np.zeros((6, dim), dtype=complex)
-    probe[0, pos[space.index("f", 1)]] = 1.0
-    if space.n_max >= 3:
-        probe[1, pos[space.index("f", 3)]] = 1.0
-    probe[2:] = psi0.conj(), psi0.conj() * m_sign, psi0, psi0 * m_sign
+    ground = probe[2]
+    probe = np.vstack([probe, ground * m_sign, ground.conj(), ground.conj() * m_sign])
 
     # the pass: P_0 ... P_ceil(L/2), recording the probe rows and the defect at
     # every r a sample needs; then M P_L = P_ceil^T M P_floor
@@ -457,104 +482,59 @@ def _propagate_sector(
         i = key // 2
         cols[:, j] = phi.conj() if key % 2 else phi
 
-    n = len(marks)
-    pf1, pf3, pg = np.empty(n), np.empty(n), np.empty(n)
-    # probe row of p_ground: psi0^H or psi0^T, times S for odd base
+    amps = np.empty((3, len(marks)), dtype=complex)
+    # probe row of the ground overlap: psi0^H or psi0^T, times S for odd base
     ground_row = 2 + 2 * back + base % 2
     for r in np.flatnonzero(needed):
         hit = np.flatnonzero(at == r)
         v = rows[r] @ cols[:, column[hit]]
-        pf1[hit] = np.abs(v[0]) ** 2
-        pf3[hit] = np.abs(v[1]) ** 2
-        pg[hit] = np.abs(v[ground_row[hit], np.arange(hit.size)]) ** 2
+        amps[:2, hit] = v[:2]
+        amps[2, hit] = v[ground_row[hit], np.arange(hit.size)]
 
-    times = marks * dt
     norms = np.linalg.norm(cols, axis=0)[column]
-    slack = defect[at] * norms
-    drift = np.flatnonzero(np.abs(norms - 1.0) + slack > config.norm_tol)
-    if drift.size:
-        k = drift[0]
-        raise _norm_drift(norms[k], times[k], config, slack[k])
-    return TimeSeries(
-        times=times, p_f1=pf1, p_f3=pf3, p_ground=pg, norm=norms, parity_leak=np.zeros(n)
-    )
+    return amps, norms, defect[at] * norms
 
 
 def _step_loop(
     params: ModelParams,
-    space: SpaceDescriptor,
-    config: PropagationConfig,
-    initial: np.ndarray,
-) -> TimeSeries:
-    """Full-space step loop of propagate; the oracle the sector path is tested against."""
-    h_static = static_hamiltonian(params, space)
-    nph = space.n_photon
-    e_block = slice(nph, 2 * nph)
-    f_block = slice(2 * nph, 3 * nph)
-    idx_f1 = space.index("f", 1)
-    idx_f3 = space.index("f", 3) if space.n_max >= 3 else None
-    # g and e keep their two-level indices in the 3-level space, so the
-    # parity-forbidden states are the -1 entries of the two-level parity
-    forbidden = np.flatnonzero(
-        np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) < 0
-    )
+    dt: float,
+    h_s: np.ndarray,
+    v_s: np.ndarray,
+    psi0: np.ndarray,
+    probe: np.ndarray,
+    marks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CF4 on the sector blocks h_s, v_s one step at a time, each exponential by Taylor.
 
-    n_steps = step_count(config.t_end, config.dt)
-    dt = config.dt
+    Makes no eigendecomposition, so it is the oracle the folded period is
+    tested against.  Returns the probe amplitudes and the state norm at the
+    sample steps marks, and zero slack.
+    """
     # spectral-norm bound for the Taylor substep count of a half-step factor
-    h_norm = float(np.linalg.norm(h_static, 2)) + abs(params.drive_amp)
+    h_norm = float(np.linalg.norm(h_s, 2)) + abs(params.drive_amp)
     n_sub = max(1, ceil(h_norm * (dt / 2.0) / _TAYLOR_THETA))
+    h_c = h_s.astype(complex)
 
-    def matvec_at(c: float):
-        def mv(x: np.ndarray) -> np.ndarray:
-            y = h_static @ x
-            if c != 0.0:
-                y[e_block] += c * x[f_block]
-                y[f_block] += c * x[e_block]
-            return y
-
-        return mv
-
-    psi = initial.copy()
-    psi0 = initial
-    times, pf1, pf3, pg, norms, leaks = [], [], [], [], [], []
-
-    def sample(t: float):
-        nrm = float(np.linalg.norm(psi))
-        if abs(nrm - 1.0) > config.norm_tol:
-            raise _norm_drift(nrm, t, config)
-        times.append(t)
-        pf1.append(abs(psi[idx_f1]) ** 2)
-        pf3.append(abs(psi[idx_f3]) ** 2 if idx_f3 is not None else 0.0)
-        pg.append(abs(np.vdot(psi0, psi)) ** 2)
-        norms.append(nrm)
-        leaks.append(float(np.max(np.abs(psi[forbidden]))))
-
-    sample(0.0)
-    t = 0.0
-    for k in range(n_steps):
-        for gamma in _cf4_gammas(params, t, dt):
-            psi = _apply_exponential(matvec_at(gamma), dt / 2.0, psi, n_sub)
-        t = (k + 1) * dt
-        if (k + 1) % config.sample_every == 0 or k == n_steps - 1:
-            sample(t)
-
-    return TimeSeries(
-        times=np.array(times),
-        p_f1=np.array(pf1),
-        p_f3=np.array(pf3),
-        p_ground=np.array(pg),
-        norm=np.array(norms),
-        parity_leak=np.array(leaks),
-    )
+    amps = np.empty((len(probe), len(marks)), dtype=complex)
+    norms = np.empty(len(marks))
+    psi, done = psi0, 0
+    for j, mark in enumerate(marks):
+        for k in range(done, mark):
+            for gamma in _cf4_gammas(params, k * dt, dt):
+                psi = _apply_exponential((h_c + gamma * v_s).__matmul__, dt / 2.0, psi, n_sub)
+        done = mark
+        amps[:, j] = probe @ psi
+        norms[j] = np.linalg.norm(psi)
+    return amps, norms, np.zeros(len(marks))
 
 
 @dataclass(frozen=True)
 class RabiFeatures:
     """Summary of a transfer-probability trace.
 
-    flagged is True when no oscillation was detected (max below 1 percent);
-    t_half and freq_fit are NaN in that case.
+    flagged is True when no oscillation was detected: the maximum is below 1
+    percent, or no peak follows the first sample (the trace falls from its
+    start).  t_half and freq_fit are NaN in that case.
     """
 
     max_p: float
@@ -591,7 +571,9 @@ def rabi_extract(series: TimeSeries) -> RabiFeatures:
     The trace is smoothed over 1% of its samples to suppress the fast
     counter-rotating ripple before peak finding; the dominant frequency comes
     from the median peak-to-peak spacing (or from the first-maximum time when
-    the window holds a single peak).
+    the window holds a single peak).  A trace whose first maximum is its
+    first sample, falling from the start state, is flagged with NaN t_half
+    and freq_fit.
     """
     p = np.asarray(series.p_f1, dtype=float)
     t = np.asarray(series.times, dtype=float)
@@ -609,11 +591,14 @@ def rabi_extract(series: TimeSeries) -> RabiFeatures:
 
     first = int(peaks[0])
     lo, hi = max(0, first - window), min(len(p), first + window + 1)
-    t_half = float(t[lo + int(np.argmax(p[lo:hi]))])
+    i_half = lo + int(np.argmax(p[lo:hi]))
+    t_half = float(t[i_half])
 
     if len(peaks) >= 2:
         spacing = float(np.median(np.diff(t[peaks])))
         freq = 2.0 * np.pi / spacing
+    elif i_half == 0:
+        return RabiFeatures(max_p=max_p, t_half=np.nan, freq_fit=np.nan, flagged=True)
     else:
         freq = np.pi / t_half
     return RabiFeatures(max_p=max_p, t_half=t_half, freq_fit=freq, flagged=False)

@@ -367,7 +367,14 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
             base_prop, dt=base_prop.dt * dt_scale,
             sample_every=max(1, int(round(base_prop.sample_every / dt_scale))),
         )
-        series = dynamics.propagate(run.params, space, prop, initial)
+        try:
+            series = dynamics.propagate(run.params, space, prop, initial)
+        except ValueError as exc:
+            # the exact ground level lies in the driven sector's +1 chain; a
+            # truncation too coarse for the coupling can put it in the -1 chain
+            raise ConvergenceGuardError(
+                f"truncation n_max={space.n_max} not converged: {exc}"
+            ) from exc
         return float(series.p_f1.max()), prop.dt
 
     p_base, dt_base = peak(run.space3, run.initial, 1.0)

@@ -387,6 +387,17 @@ class TestExitCodes:
         assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
         assert "ground level is degenerate within tolerance (gap " in capsys.readouterr().err
 
+    def test_ground_level_in_the_other_parity_chain_is_guard_failure(self, tmp_path, capsys):
+        # at lambda = 2.5 the n_max = 6 truncation puts the ground level in the
+        # chain of |e,0>, outside the driven sector: the refinement study stops
+        # before writing anything
+        out = tmp_path / "deep.csv"
+        cfg = _write(tmp_path, "deep.cfg", "lambda = 2.5\nn_max = 6\nt_end = 3\n")
+        assert main(["convergence-report", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("truncation n_max=6 not converged: initial state has weight outside the "
+                "driven parity sector") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_reference_level_stops_the_sweep(self, tmp_path, capsys):
         # the 2*n_max reference of the truncation guard is a ground level too
         cfg = _write(tmp_path, "deg.cfg", "sweep_variable = lambda\nsweep_start = 3.9\n"
@@ -592,7 +603,7 @@ polaron.transformed_h_rabi(params, pol, space)
 t = np.linspace(0.0, 300.0, 3000)
 p = np.sin(0.02 * t) ** 2
 assert not dynamics.rabi_extract(dynamics.TimeSeries(
-    times=t, p_f1=p, p_f3=p, p_ground=p, norm=p, parity_leak=p)).flagged
+    times=t, p_f1=p, p_f3=p, p_ground=p, norm=p)).flagged
 new["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(new))
 """

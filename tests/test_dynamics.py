@@ -133,7 +133,7 @@ class TestResonanceFrequency:
 
 class TestPropagationConfig:
     @pytest.mark.parametrize("name", ["t_end", "dt", "norm_tol"])
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1.0, np.inf])
     def test_rejects_non_positive(self, name, value):
         fields = {"t_end": 5.0, "dt": 0.01, name: value}
         with pytest.raises(ValueError, match=f"{name} must be positive"):
@@ -148,6 +148,13 @@ class TestPropagationConfig:
         with pytest.raises(ValueError):
             default_config(params, t_end=5.0, **override)
 
+    def test_default_config_rejects_infinite_horizon(self):
+        # checked before the default sample_every counts the steps to it
+        params = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0,
+                             drive_amp=0.2, drive_freq=4.6)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            default_config(params, t_end=np.inf)
+
 
 class TestPropagate:
     def test_undriven_f_sector_stays_empty(self, small_setup):
@@ -159,13 +166,12 @@ class TestPropagate:
         assert np.max(series.p_f3) < 1e-20
         assert np.max(np.abs(series.p_ground - 1.0)) < 1e-10
 
-    def test_norm_conserved_and_parity_clean(self, small_setup):
+    def test_norm_conserved(self, small_setup):
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
         cfg = default_config(params, t_end=40.0)
         series = propagate(params, make_space(N_SMALL, 3), cfg, initial)
         assert np.max(np.abs(series.norm - 1.0)) < 1e-9
-        assert np.max(series.parity_leak) < 1e-6
         assert series.p_ground[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series.p_f1 >= 0.0) and np.all(series.p_f1 <= 1.0)
 
@@ -194,13 +200,14 @@ class TestPropagate:
         assert np.max(np.abs(out[10] - out[20])) < 1e-6
 
     def test_step_loop_norm_drift_detected(self, small_setup, monkeypatch):
-        # a small anti-Hermitian diagonal damps the norm as exp(-1e-9 t); an
-        # off-grid step keeps the run on the full-space step loop
+        # each Taylor exponential shrinks the state by 1e-11, two per step; an
+        # off-grid step keeps the run on the step loop
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
         space = make_space(N_SMALL, 3)
-        h = dynamics.static_hamiltonian(params, space) - 1e-9j * np.eye(space.dim)
-        monkeypatch.setattr(dynamics, "static_hamiltonian", lambda *args: h)
+        apply = dynamics._apply_exponential
+        monkeypatch.setattr(dynamics, "_apply_exponential",
+                            lambda *args: apply(*args) * (1.0 - 1e-11))
         monkeypatch.setattr(dynamics, "_propagate_sector", _refuse)
         tol = 2e-9
 
@@ -261,7 +268,7 @@ class TestPropagate:
             propagate(params, space3, PropagationConfig(t_end=1.0, dt=1.01 * bound), initial)
 
 
-FIELDS = ("times", "p_f1", "p_f3", "p_ground", "norm", "parity_leak")
+FIELDS = ("times", "p_f1", "p_f3", "p_ground", "norm")
 
 
 def _sector_mask(space):
@@ -285,8 +292,15 @@ def _refuse(*args, **kwargs):
     raise AssertionError("propagate took the wrong path")
 
 
+def _on_step_loop(monkeypatch, *args):
+    """propagate(*args) on the step loop, whatever the grid: the folded period's oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_steps_per_period", lambda *_: 0)
+        return propagate(*args)
+
+
 class TestSectorFloquet:
-    """The sector-Floquet path of propagate against the full-space step loop."""
+    """The folded period of propagate against the step loop and a dense full-space CF4."""
 
     @pytest.fixture(scope="class")
     def setups(self):
@@ -319,7 +333,7 @@ class TestSectorFloquet:
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=periods * period, dt=period / n_per, sample_every=every)
         space = make_space(n_max, 3)
-        oracle = dynamics._step_loop(params, space, cfg, initial)
+        oracle = _on_step_loop(monkeypatch, params, space, cfg, initial)
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         fast = propagate(params, space, cfg, initial)
         want, got = _fields(oracle), _fields(fast)
@@ -328,7 +342,6 @@ class TestSectorFloquet:
             assert got[name].shape == want[name].shape, name
             assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
         assert np.array_equal(fast.times, oracle.times)
-        assert np.all(fast.parity_leak == 0.0)
 
         # strengths from the step's time r*dt, as _step_loop computes them,
         # instead of from its grid phase: the two differ by rounding alone
@@ -341,7 +354,7 @@ class TestSectorFloquet:
 
     def test_dt_on_the_grid_within_its_tolerance(self, small_setup, monkeypatch):
         # the strengths assume dt = T/n_per exactly; a dt off it by less than
-        # PERIOD_GRID_RTOL still takes the sector path and agrees with the loop
+        # PERIOD_GRID_RTOL still takes the folded period and agrees with the loop
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.3, omega_p)
         period = 2.0 * np.pi / omega_p
@@ -349,13 +362,13 @@ class TestSectorFloquet:
         assert dynamics._steps_per_period(params, dt) == 200
         cfg = PropagationConfig(t_end=4.3 * period, dt=dt, sample_every=3)
         space = make_space(N_SMALL, 3)
-        oracle = _fields(dynamics._step_loop(params, space, cfg, initial))
+        oracle = _fields(_on_step_loop(monkeypatch, params, space, cfg, initial))
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         got = _fields(propagate(params, space, cfg, initial))
         for name in oracle:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
 
-    @pytest.mark.parametrize("n_per", [200, 201])
+    @pytest.mark.parametrize("n_per", [200, 201, 202, 400])
     def test_matches_step_loop_from_f_weighted_state(self, small_setup, monkeypatch, n_per):
         # S = diag(+1 on g, e; -1 on f) and the conjugation of the mirrored
         # samples act on the f rows and the phases; p_ground is the only output
@@ -371,11 +384,51 @@ class TestSectorFloquet:
         initial /= np.linalg.norm(initial)
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=2.7 * period, dt=period / n_per, sample_every=3)
-        oracle = _fields(dynamics._step_loop(params, space, cfg, initial))
+        oracle = _fields(_on_step_loop(monkeypatch, params, space, cfg, initial))
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         got = _fields(propagate(params, space, cfg, initial))
         for name in oracle:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
+
+    @pytest.mark.parametrize("n_per", [200, 200.5])   # the folded period, the step loop
+    @pytest.mark.parametrize("amp", [0.2, 0.8])
+    def test_matches_dense_full_space_cf4(self, monkeypatch, n_per, amp):
+        # CF4 on the full 3-level space, each factor a dense eigendecomposition
+        # of the two Gauss-node Hamiltonians: no sector, no Taylor series
+        base = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0)
+        spec = solve_spectrum(base, make_space(8, 2))
+        omega_p = resonance_frequency(base, spec.ground_energy)
+        params = _driven(base, amp, omega_p)
+        space = make_space(8, 3)
+        initial = embed_ground_state(ground_state(spec)[0])
+        period = 2.0 * np.pi / omega_p
+        cfg = PropagationConfig(t_end=3.3 * period, dt=period / n_per, sample_every=3)
+        monkeypatch.setattr(dynamics, "_step_loop" if n_per == 200 else "_propagate_sector",
+                            _refuse)
+        got = _fields(propagate(params, space, cfg, initial))
+
+        dt = cfg.dt
+        x1, x2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+        c1, c2 = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
+
+        def exp_step(h):
+            w, q = np.linalg.eigh(h)
+            return (q * np.exp(-1j * dt * w)) @ q.conj().T
+
+        n_steps = dynamics.step_count(cfg.t_end, dt)
+        psi, want = initial, []
+        for k in range(n_steps + 1):
+            if k % 3 == 0 or k == n_steps:
+                want.append((abs(psi[space.index("f", 1)]) ** 2,
+                             abs(psi[space.index("f", 3)]) ** 2,
+                             abs(np.vdot(initial, psi)) ** 2, np.linalg.norm(psi)))
+            h1 = build_h_full(params, space, k * dt + c1 * dt)
+            h2 = build_h_full(params, space, k * dt + c2 * dt)
+            psi = exp_step(x1 * h1 + x2 * h2) @ (exp_step(x2 * h1 + x1 * h2) @ psi)
+        want = dict(zip(("p_f1", "p_f3", "p_ground", "norm"), np.array(want).T))
+        assert len(got["times"]) == len(want["norm"])
+        for name in want:
+            assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
 
     def test_folded_period_builds_each_factor_once(self, small_setup, monkeypatch, eigh_calls):
         # 2 * n_per half-step factors per period; the two symmetries leave
@@ -526,25 +579,36 @@ class TestSectorFloquet:
             run(1e-9)
         assert loose.times[1] > 0.0
 
-    @pytest.mark.parametrize("case", ["off-grid dt", "off-sector state", "no drive frequency"])
+    @pytest.mark.parametrize("case", ["off-grid dt", "no drive frequency"])
     def test_other_inputs_run_the_step_loop(self, small_setup, monkeypatch, case):
         base, _, initial, omega_p = small_setup
         space = make_space(N_SMALL, 3)
         params = _driven(base, 0.2, omega_p)
         period = 2.0 * np.pi / omega_p
-        dt = period / 200
-        if case == "off-grid dt":
-            dt = period / 200.5
-        elif case == "off-sector state":
-            initial = initial + space.basis_state("g", 1)
-            initial = initial / np.linalg.norm(initial)
-        else:
+        dt = period / 200.5
+        if case == "no drive frequency":
+            dt = period / 200
             params = _driven(base, 0.2, 0.0)
         cfg = PropagationConfig(t_end=3.0, dt=dt, sample_every=3, norm_tol=1e-7)
-        oracle = _fields(dynamics._step_loop(params, space, cfg, initial))
         monkeypatch.setattr(dynamics, "_propagate_sector", _refuse)
-        got = _fields(propagate(params, space, cfg, initial))
-        assert all(np.array_equal(got[name], oracle[name]) for name in FIELDS)
+        series = propagate(params, space, cfg, initial)
+        assert series.p_ground[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(series.norm - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n_per", [200, 200.5])
+    @pytest.mark.parametrize("state", ["mixed", "other parity"])
+    def test_rejects_state_off_the_sector(self, small_setup, n_per, state):
+        # the sector is {|g,even>, |e,odd>, |f,odd>}; |g,1> lies in the other one
+        base, _, initial, omega_p = small_setup
+        space = make_space(N_SMALL, 3)
+        params = _driven(base, 0.2, omega_p)
+        off = space.basis_state("g", 1)
+        if state == "mixed":
+            off = (initial + off) / np.linalg.norm(initial + off)
+        amp = abs(off[space.index("g", 1)])
+        cfg = PropagationConfig(t_end=3.0, dt=2.0 * np.pi / (n_per * omega_p))
+        with pytest.raises(ValueError, match=rf"parity sector .*: amplitude {amp:.3g} on \|g,1>"):
+            propagate(params, space, cfg, off)
 
     # a Hermitian perturbation that couples the sectors, or one that is not real
     @pytest.mark.parametrize("ket, delta", [(("g", 1), 1e-3), (("e", 1), 1e-3j)])
@@ -557,16 +621,11 @@ class TestSectorFloquet:
         h[i, j] += delta
         h[j, i] = np.conj(h[i, j])
         monkeypatch.setattr(dynamics, "static_hamiltonian", lambda *args: h)
-        with pytest.raises(ValueError, match="parity sector"):
-            propagate(params, space, default_config(params, t_end=1.0), initial)
-
-    def test_step_loop_parity_leak_stays_small(self, small_setup):
-        # the sector path has no leak to measure; the full-space loop keeps the check alive
-        base, _, initial, omega_p = small_setup
-        params = _driven(base, 0.2, omega_p)
-        cfg = default_config(params, t_end=40.0)
-        series = dynamics._step_loop(params, make_space(N_SMALL, 3), cfg, initial)
-        assert np.max(series.parity_leak) < 1e-6
+        # on the period grid and off it: both integrators step the checked blocks
+        for n_per in (200, 200.5):
+            cfg = PropagationConfig(t_end=1.0, dt=2.0 * np.pi / (n_per * omega_p))
+            with pytest.raises(ValueError, match="parity sector"):
+                propagate(params, space, cfg, initial)
 
 
 def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):
@@ -574,10 +633,8 @@ def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):
     p = np.sin(g * t) ** 2
     if ripple:
         p = np.clip(p + ripple * np.sin(ripple_freq * t) ** 2, 0.0, 1.0)
-    zeros = np.zeros_like(t)
     return TimeSeries(
-        times=t, p_f1=p, p_f3=zeros, p_ground=1.0 - p, norm=np.ones_like(t),
-        parity_leak=zeros,
+        times=t, p_f1=p, p_f3=np.zeros_like(t), p_ground=1.0 - p, norm=np.ones_like(t)
     )
 
 
@@ -603,6 +660,16 @@ class TestRabiExtract:
         series = _synthetic_series(0.0, 100.0, 500)
         feat = rabi_extract(series)
         assert feat.flagged
+        assert np.isnan(feat.t_half) and np.isnan(feat.freq_fit)
+
+    def test_trace_falling_from_its_start_flagged(self):
+        # the first maximum is the first sample, t = 0: no half period to time
+        t = np.linspace(0.0, 10.0, 500)
+        p = np.exp(-t)
+        series = TimeSeries(times=t, p_f1=p, p_f3=np.zeros_like(t), p_ground=1.0 - p,
+                            norm=np.ones_like(t))
+        feat = rabi_extract(series)
+        assert feat.flagged and feat.max_p == 1.0
         assert np.isnan(feat.t_half) and np.isnan(feat.freq_fit)
 
     def test_flat_top_peaks_at_its_middle_sample(self):

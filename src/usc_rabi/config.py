@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import rabi_core
 from .dynamics import PropagationConfig
 
 PRESETS = (
@@ -20,6 +21,10 @@ PRESETS = (
     "convergence-report",
     "two-state-compare",
 )
+
+# a config whose largest dense array (largest_array_bytes) is larger is a config error
+MAX_ARRAY_BYTES = 1 << 27
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -193,7 +198,31 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
         raise ConfigError("Omega_list entries must be positive")
     if cfg.sample_every is not None and cfg.sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {cfg.sample_every}")
+    size = largest_array_bytes(cfg)
+    if size > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"n_max={cfg.n_max} needs a {size / 2**20:.4g} MiB array in {preset}, "
+            f"over the {MAX_ARRAY_BYTES >> 20} MiB limit"
+        )
     return cfg
+
+
+def largest_array_bytes(cfg: ExperimentConfig) -> int:
+    """Bytes of the largest dense array cfg's preset allocates, from the config alone.
+
+    The truncation guard's real 2*n_max chain; fig2-sweep's eigh stacks of
+    chains, up to rabi_core.STACK_BYTES; and the complex 3-level full-space
+    matrices of a propagation (static_hamiltonian, drive_operator), at
+    2*n_max for convergence-report's refined run.  Every other array is
+    smaller: solve_spectrum's real 2-level eigenvectors, and fig2-sweep's
+    arrays over a chunk of couplings.
+    """
+    n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
+    chain2 = 8 * n2 * n2
+    if cfg.preset == "fig2-sweep":
+        return max(chain2, rabi_core.STACK_BYTES)
+    propagated = n2 if cfg.preset == "convergence-report" else n
+    return max(chain2, 16 * (3 * propagated) ** 2)
 
 
 def load_experiment(

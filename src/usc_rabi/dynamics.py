@@ -459,7 +459,9 @@ def _propagate_sector(
     # every r a sample needs; then M P_L = P_ceil^T M P_floor
     needed = np.zeros(n_mid + 1, dtype=bool)
     needed[at] = True
-    rows = np.empty((n_mid + 1,) + probe.shape, dtype=complex)
+    # slot[r]: where the needed r keeps its probe rows
+    slot = np.cumsum(needed) - 1
+    rows = np.empty((slot[-1] + 1,) + probe.shape, dtype=complex)
     defect = np.zeros(n_mid + 1)
     eye = np.eye(dim)
     p_lo = p = eye.astype(complex).view(float)
@@ -468,7 +470,7 @@ def _propagate_sector(
             p_lo, p = p, step(p)
         if needed[r]:
             pr = p.view(complex)
-            rows[r] = probe @ pr
+            rows[slot[r]] = probe @ pr
             defect[r] = np.linalg.norm(pr.conj().T @ pr - eye)
     if n_seg % 2 == 0:
         p_lo = p
@@ -487,7 +489,7 @@ def _propagate_sector(
     ground_row = 2 + 2 * back + base % 2
     for r in np.flatnonzero(needed):
         hit = np.flatnonzero(at == r)
-        v = rows[r] @ cols[:, column[hit]]
+        v = rows[slot[r]] @ cols[:, column[hit]]
         amps[:2, hit] = v[:2]
         amps[2, hit] = v[ground_row[hit], np.arange(hit.size)]
 

@@ -24,7 +24,9 @@ DT_GUARD_TOL = 1e-6
 _DEFAULT_OMEGA_LIST = (0.2, 0.4, 0.8)
 # drive amplitude (Omega) of the single-amplitude presets when the config sets none
 _DEFAULT_DRIVE_AMP = {"resonance-scan": 0.4, "convergence-report": 0.2, "two-state-compare": 0.2}
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_FMT = "%.12g"
+# bytes of one (2*n_max+1)-site array over a fig2-sweep chunk (_sweep_chunk)
+_CHUNK_BYTES = 1 << 14
 
 
 class ConvergenceGuardError(RuntimeError):
@@ -42,7 +44,7 @@ def _fmt(x) -> str:
     if isinstance(x, (bool, int, np.integer)):
         return str(x)
     if isinstance(x, float):
-        return _FLOAT_FMT.format(x + 0.0)  # +0.0 folds -0.0 into 0.0
+        return _FLOAT_FMT % (x + 0.0)  # +0.0 folds -0.0 into 0.0
     return str(x)
 
 
@@ -50,12 +52,12 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     """Write `# key = value` provenance lines, a header row, then the data rows."""
     path = Path(path)
     names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    n_rows = len(arrays[0])
     lines = [f"# {k} = {_fmt(v)}" for k, v in provenance.items()]
     lines.append(",".join(names))
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(float(a[i])) for a in arrays))
+    # every cell as _fmt prints a float, one row format for all
+    row = ",".join([_FLOAT_FMT] * len(names))
+    cells = [(np.asarray(columns[n], dtype=float) + 0.0).tolist() for n in names]
+    lines += [row % values for values in zip(*cells)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -68,12 +70,19 @@ def _checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
-    """rabi_core.ground_level; a degenerate level is a config error naming lambda and n_max."""
+def _require_gap(params: ModelParams, n_max: int, gap: float) -> None:
+    """rabi_core.require_gap; a degenerate level is a config error naming lambda and n_max."""
     try:
-        return rabi_core.ground_level(params, space)
+        rabi_core.require_gap(float(gap))
     except ValueError as exc:
-        raise ConfigError(f"{exc} at lambda={params.coupling:g}, n_max={space.n_max}") from exc
+        raise ConfigError(f"{exc} at lambda={params.coupling:g}, n_max={n_max}") from exc
+
+
+def _ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
+    """rabi_core.ground_level, with its degenerate level as _require_gap's config error."""
+    psi, energy, gap = rabi_core.ground_levels(params.omega0, params.coupling, space)
+    _require_gap(params, space.n_max, gap)
+    return psi, float(energy)
 
 
 def _guard_ground(
@@ -82,6 +91,7 @@ def _guard_ground(
     ground: tuple[np.ndarray, float],
     label: str = "",
     photons: tuple[int, ...] = (1,),
+    ground2: tuple[np.ndarray, float] | None = None,
 ) -> None:
     """Reject the n_max ground pair `ground` = (psi_0, E0) if it moves at 2*n_max.
 
@@ -90,13 +100,16 @@ def _guard_ground(
     settles the guard from the n_max pair and two Sturm counts when its
     bounds on both moves are within 1e-8; only otherwise is the 2*n_max
     ground pair solved (ground_level) and compared, and a degenerate ground
-    level there is a config error.
+    level there is a config error.  A caller that has solved the 2*n_max
+    pair already passes it as ground2, which is then compared directly.
     """
     psi, energy = ground
     space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-    if rabi_core.certify_ground(params, space, ground, space2, GUARD_TOL) is not None:
-        return
-    psi2, energy2 = _ground_level(params, space2)
+    if ground2 is None:
+        if rabi_core.certify_ground(params, space, ground, space2, GUARD_TOL) is not None:
+            return
+        ground2 = _ground_level(params, space2)
+    psi2, energy2 = ground2
     d_energy = abs(energy - energy2)
     d_amps = {
         n: abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
@@ -211,34 +224,59 @@ def _prop_config(
     return prop
 
 
+def _sweep_chunk(n_max: int) -> int:
+    """Couplings fig2-sweep solves together: _CHUNK_BYTES per (2*n_max+1)-site array."""
+    return max(1, _CHUNK_BYTES // (8 * (2 * n_max + 1)))
+
+
 def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     """Virtual-photon amplitude versus coupling: exact against the closed form.
 
-    One row per coupling grid point, read off the ground pair alone
-    (rabi_core.ground_level); the guard aborts on the first non-converged
-    point, and a ground level degenerate at n_max or 2*n_max is a config error
-    that names the coupling and the truncation.
+    One row per coupling grid point, read off the ground pair alone.  The grid
+    is solved in chunks of _sweep_chunk couplings: rabi_core.ground_levels
+    stacks a chunk's n_max chains, rabi_core.certify_grounds guards them all
+    at once, and the points it leaves undecided get their 2*n_max pairs as one
+    more stack.  Every pair is bit for bit the one-coupling ground_level's.
+    The points are then judged in grid order, so the first failure is the one
+    a point-by-point sweep meets: a ground level degenerate at n_max or
+    2*n_max is a config error that names the coupling and the truncation, a
+    non-converged point aborts the sweep (exit 2), and so does an unsolved
+    polaron fixed point (config error).
     """
     grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps)
     cols: dict = {name: [] for name in (
         "lambda", "c10_exact", "c10_approx", "xi", "eta", "lambda0_exact", "e_approx",
     )}
-    space = make_space(cfg.n_max, 2)
-    for lam in grid:
-        params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-        psi, energy = _ground_level(params, space)
-        try:
-            _guard_ground(params, cfg.n_max, (psi, energy), label=f"lambda={lam:g}")
-        except ConvergenceGuardError as exc:
-            raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
-        pol = _checked(polaron.solve_xi_eta, params)
-        cols["lambda"].append(lam)
-        cols["c10_exact"].append(psi[space.index("e", 1)])
-        cols["c10_approx"].append(polaron.c10_approx(params, pol))
-        cols["xi"].append(pol.xi)
-        cols["eta"].append(pol.eta)
-        cols["lambda0_exact"].append(energy)
-        cols["e_approx"].append(pol.e_approx)
+    space, space2 = make_space(cfg.n_max, 2), make_space(2 * cfg.n_max, 2)
+    c10 = space.index("e", 1)
+    chunk = _sweep_chunk(cfg.n_max)
+    for lo in range(0, grid.size, chunk):
+        lams = grid[lo : lo + chunk]
+        psi, energy, gap = rabi_core.ground_levels(cfg.omega0, lams, space)
+        bounds, _ = rabi_core.certify_grounds(
+            cfg.omega0, lams, space, (psi, energy), space2, GUARD_TOL)
+        # the 2*n_max pairs of the points the certificate leaves open, by index
+        open_ = np.flatnonzero(np.isnan(bounds))
+        refs = dict(zip(open_, zip(*rabi_core.ground_levels(cfg.omega0, lams[open_], space2))))
+        for k, lam in enumerate(lams):
+            params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
+            _require_gap(params, cfg.n_max, gap[k])
+            if k in refs:
+                psi2, energy2, gap2 = refs[k]
+                _require_gap(params, space2.n_max, gap2)
+                try:
+                    _guard_ground(params, cfg.n_max, (psi[k], energy[k]),
+                                  label=f"lambda={lam:g}", ground2=(psi2, energy2))
+                except ConvergenceGuardError as exc:
+                    raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
+            pol = _checked(polaron.solve_xi_eta, params)
+            cols["lambda"].append(lam)
+            cols["c10_exact"].append(psi[k, c10])
+            cols["c10_approx"].append(polaron.c10_approx(params, pol))
+            cols["xi"].append(pol.xi)
+            cols["eta"].append(pol.eta)
+            cols["lambda0_exact"].append(energy[k])
+            cols["e_approx"].append(pol.e_approx)
     provenance = {
         "preset": cfg.preset,
         "omega0": cfg.omega0,

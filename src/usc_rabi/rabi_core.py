@@ -27,6 +27,13 @@ bond of the chain, so the n_max pair is a trial pair of the larger chain
 whose residual is known, and two Sturm counts turn the residual into bounds
 on E0 and every |c_n0|.  The truncation guard solves its 2*n_max reference
 with ground_level only when those bounds do not settle it.
+ground_levels and certify_grounds do the same for a whole array of couplings
+at once, and ground_level and certify_ground are their one-coupling case:
+the chains of all couplings are one stack, solved by eigh STACK_BYTES at a
+time (numpy solves a stack one matrix at a time with the same LAPACK call,
+so every pair is bit for bit the one-coupling one), and each Sturm count runs
+its recurrence site by site on arrays over the couplings.  fig2-sweep solves
+its grid this way, in chunks.
 build_h_rabi is the full-space matrix the dynamics and the polaron frame work
 with.
 """
@@ -42,6 +49,8 @@ from .hilbert import SpaceDescriptor
 
 PARITY_VIOLATION_TOL = 1e-9
 GROUND_GAP_TOL = 1e-10
+# bytes of dense chain matrices one eigh call solves (_lowest)
+STACK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -123,56 +132,86 @@ def parity_matrix(space: SpaceDescriptor) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
+    """Rotate each column so its first significant component is real positive.
+
+    vectors may be a stack of matrices; each column of each is fixed alone.
+    """
     mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
-    pivot = vectors[first, np.arange(vectors.shape[1])]
+    first = np.argmax(mags > 1e-8 * mags.max(axis=-2, keepdims=True), axis=-2)
+    pivot = np.take_along_axis(vectors, first[..., None, :], axis=-2)
     return vectors * (np.conj(pivot) / np.abs(pivot))
 
 
 def _chain_bands(
-    params: ModelParams, space: SpaceDescriptor, parity: int
+    omega0: float, coupling, space: SpaceDescriptor, parity: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parity sector `parity` (+1 or -1) as the bands of a real tridiagonal chain.
 
-    Returns the diagonal, the off-diagonal and, for each site n = 0..n_max,
-    the full-space row of its ket: |g,n> where n's parity matches `parity`,
-    else |e,n>.
+    coupling is one coupling or an array of them.  Returns the diagonal, which
+    no coupling changes, the off-diagonals, shape coupling.shape + (n_max,),
+    and, for each site n = 0..n_max, the full-space row of its ket: |g,n>
+    where n's parity matches `parity`, else |e,n>.
     """
     n = np.arange(space.n_photon)
     excited = (n % 2 == 0) != (parity > 0)
     rows = np.where(excited, space.index("e", 0), space.index("g", 0)) + n
-    diag = n + np.where(excited, 0.5, -0.5) * params.omega0
-    off = params.coupling * np.sqrt(n[1:])
+    diag = n + np.where(excited, 0.5, -0.5) * omega0
+    off = np.multiply.outer(coupling, np.sqrt(n[1:]))
     return diag, off, rows
+
+
+def _chain_matrix(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense chain matrices from the bands: one per row of off, stacked as off is."""
+    n = diag.size
+    chain = np.zeros(off.shape[:-1] + (n * n,))
+    chain[..., :: n + 1] = diag
+    chain[..., 1 :: n + 1] = off
+    chain[..., n :: n + 1] = off
+    return chain.reshape(off.shape[:-1] + (n, n))
+
+
+def _chain_times(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The chain (diag, off) times v, on stacks of chains and vectors."""
+    tv = diag * v
+    tv[..., 1:] += off * v[..., :-1]
+    tv[..., :-1] += off * v[..., 1:]
+    return tv
 
 
 def _sector_chain(
     params: ModelParams, space: SpaceDescriptor, parity: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parity sector `parity` as a dense chain matrix, and the rows of its sites."""
-    diag, off, rows = _chain_bands(params, space, parity)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rows
+    diag, off, rows = _chain_bands(params.omega0, params.coupling, space, parity)
+    return _chain_matrix(diag, off), rows
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+def _count_below(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal chain (diag, off) below x.
 
     Sturm count: the negative pivots of the LDL^T factorization of
     chain - x*I, in O(n) and without solving for any level.  A pivot that is
     exactly zero is replaced by -pivmin, as LAPACK's bisection does, so the
     next pivot stays finite; a level within a few ulps of x may be counted on
-    either side.
+    either side.  diag (..., n), off (..., n-1) and x (...) may be stacks
+    that broadcast, say over the couplings of a grid: the recurrence then
+    runs site by site on arrays over the stack, and the counts have its shape.
     """
     b2 = off * off
-    pivmin = np.finfo(float).tiny * max(1.0, float(b2.max()))
-    count, pivot = 0, 1.0
-    for a, b in zip((diag - x).tolist(), [0.0] + b2.tolist()):
-        pivot = a - b / pivot
-        if pivot == 0.0:
-            pivot = -pivmin
-        count += pivot < 0.0
-    return count
+    neg_pivmin = -np.finfo(float).tiny * np.maximum(1.0, b2.max(axis=-1))
+    x = np.asarray(x)
+    n = np.shape(diag)[-1]
+    shape = np.broadcast_shapes(np.shape(diag)[:-1], off.shape[:-1], x.shape)
+    pivot = np.empty(shape + (n,))
+    np.subtract(diag, x[..., None], out=pivot)
+    # site by site; each pivot[..., j] is a view the recurrence updates in place
+    for j in range(n):
+        row = pivot[..., j]
+        if j:
+            row -= b2[..., j - 1] / pivot[..., j - 1]
+        if np.count_nonzero(row) < row.size:
+            np.copyto(row, neg_pivmin, where=row == 0.0)
+    return np.count_nonzero(pivot < 0.0, axis=-1)
 
 
 def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResult:
@@ -221,44 +260,139 @@ def parity_labels(spectrum: SpectrumResult) -> np.ndarray:
     return labels
 
 
-def _require_gap(gap: float) -> None:
+def require_gap(gap: float) -> None:
+    """Raise ValueError when the ground level is degenerate: gap below GROUND_GAP_TOL."""
     if gap < GROUND_GAP_TOL:
         raise ValueError(f"ground level is degenerate within tolerance (gap {gap:.3e})")
 
 
 def ground_state(spectrum: SpectrumResult) -> tuple[np.ndarray, float]:
     """Dressed ground state |psi_0> (phase: <g,0|psi_0> real positive) and its energy."""
-    _require_gap(float(spectrum.eigenvalues[1] - spectrum.eigenvalues[0]))
+    require_gap(float(spectrum.eigenvalues[1] - spectrum.eigenvalues[0]))
     return spectrum.eigenvectors[:, 0].copy(), spectrum.ground_energy
+
+
+def ground_levels(
+    omega0: float, coupling, space: SpaceDescriptor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi_0, E0, gap) at every coupling of `coupling`, one coupling or a 1-d array.
+
+    psi_0 has shape coupling.shape + (dim,), E0 and gap coupling.shape.  The
+    +1 chains of all couplings are solved as stacks (_lowest): numpy solves a
+    stack one matrix at a time with the same LAPACK call, so each pair is bit
+    for bit what ground_state(solve_spectrum(...)) gives.  The -1 chains get
+    one Sturm count (_count_below) of their levels below E0 + GROUND_GAP_TOL,
+    on arrays over the couplings.  Only the -1 chains that count a level
+    there (a coarse truncation or deep coupling puts the -1 chain lower or
+    within the tolerance) are solved too, and the lower of the two chains
+    gives the level.  gap is the distance to the next level of either chain;
+    below GROUND_GAP_TOL the level is degenerate (require_gap), which the
+    caller judges.
+    """
+    if space.atom_levels != 2:
+        raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
+    diag, off, rows = _chain_bands(omega0, coupling, space, 1)
+    w, psi = _lowest(diag, off, rows, space.dim)
+    # the -1 chain's two lowest levels and ground vector; +inf and zero where
+    # it counts no level below E0 + GROUND_GAP_TOL
+    odd_diag, odd_off, odd_rows = _chain_bands(omega0, coupling, space, -1)
+    counted = _count_below(odd_diag, odd_off, w[..., 0] + GROUND_GAP_TOL) > 0
+    other, odd_psi = np.full(w.shape, np.inf), np.zeros_like(psi)
+    if np.any(counted):
+        other[counted], odd_psi[counted] = _lowest(odd_diag, odd_off[counted], odd_rows, space.dim)
+    odd = other[..., 0] < w[..., 0]
+    low = np.where(odd[..., None], other, w)
+    energy = low[..., 0]
+    gap = np.minimum(low[..., 1], np.where(odd, w[..., 0], other[..., 0])) - energy
+    return np.where(odd[..., None], odd_psi, psi), energy, gap
+
+
+def _lowest(
+    diag: np.ndarray, off: np.ndarray, rows: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two lowest levels and the full-space lowest eigenvector of every chain (diag, off).
+
+    off holds one chain or a 1-d stack of them; eigh solves the stack
+    STACK_BYTES of matrices at a time.  rows are the chain sites'
+    full-space rows; each eigenvector's phase is fixed there (_fix_phases).
+    """
+    n = diag.size
+    w = np.empty(off.shape[:-1] + (2,))
+    psi = np.empty(off.shape[:-1] + (dim,))
+    step = max(1, STACK_BYTES // (8 * n * n))
+    parts = [()] if off.ndim == 1 else [slice(k, k + step) for k in range(0, len(off), step)]
+    for s in parts:
+        levels, v = np.linalg.eigh(_chain_matrix(diag, off[s]))
+        w[s] = levels[..., :2]
+        vectors = np.zeros(levels.shape[:-1] + (dim, 1))
+        vectors[..., rows, 0] = v[..., 0]
+        psi[s] = _fix_phases(vectors)[..., 0]
+    return w, psi
 
 
 def ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
     """(psi_0, E0) as ground_state(solve_spectrum(params, space)) gives them, bit for bit.
 
-    Diagonalizes the +1 chain and counts the -1 chain's levels below
-    E0 + GROUND_GAP_TOL (a Sturm count, see _count_below).  When none lies
-    there, the gap is the +1 chain's own.  Otherwise (a coarse truncation or
-    deep coupling puts the -1 chain lower or within the tolerance) the -1
-    chain is diagonalized too, and the lower of the two chains gives the
-    level.  Same phase convention and same degenerate-level ValueError as
-    ground_state.  The truncation guard calls it at 2*n_max only when
+    ground_levels at the one coupling params.coupling: one eigh of the +1
+    chain, a Sturm count of the -1 chain, and its eigh only when that count
+    is not zero.  Same phase convention and same degenerate-level ValueError
+    as ground_state.  The truncation guard calls it at 2*n_max only when
     certify_ground cannot settle the guard from the n_max pair.
     """
-    if space.atom_levels != 2:
-        raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
-    even, rows = _sector_chain(params, space, 1)
-    w, v = np.linalg.eigh(even)
-    diag, off, odd_rows = _chain_bands(params, space, -1)
-    gap = w[1] - w[0]
-    if _count_below(diag, off, w[0] + GROUND_GAP_TOL):
-        other, odd_v = np.linalg.eigh(_sector_chain(params, space, -1)[0])
-        if other[0] < w[0]:
-            (w, v), rows, other = (other, odd_v), odd_rows, w
-        gap = min(w[1], other[0]) - w[0]
-    _require_gap(float(gap))
-    psi = np.zeros(space.dim)
-    psi[rows] = v[:, 0]
-    return _fix_phases(psi[:, None])[:, 0], float(w[0])
+    psi, energy, gap = ground_levels(params.omega0, params.coupling, space)
+    require_gap(float(gap))
+    return psi, float(energy)
+
+
+def certify_grounds(
+    omega0: float,
+    coupling,
+    space: SpaceDescriptor,
+    ground: tuple[np.ndarray, np.ndarray],
+    space2: SpaceDescriptor,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """certify_ground at every coupling of `coupling`, one coupling or a 1-d array.
+
+    ground = (psi_0, E0) with the shapes ground_levels returns.  Returns the
+    energy and amplitude bounds, shape coupling.shape, NaN where the
+    certificate does not settle the guard.  The residual, rho and delta are
+    array arithmetic over the couplings, and the two Sturm counts, run once
+    any coupling's bounds are within tol, one recurrence on arrays over them.
+    """
+    psi, energy = ground
+    diag, off, rows = _chain_bands(omega0, coupling, space, 1)
+    diag2, off2, _ = _chain_bands(omega0, coupling, space2, 1)
+    n = diag.size
+    v = psi[..., rows]
+    norm = np.linalg.norm(v, axis=-1)
+    # psi_0 in the -1 chain has no +1 amplitudes and is never certified
+    scale_v = np.where(norm > 0.0, norm, 1.0)
+    tv = _chain_times(diag, off, v)
+    sigma = np.sum(v * tv, axis=-1) / scale_v**2
+    bond = off2[..., n - 1]
+    residual = np.sqrt(
+        np.sum((tv - sigma[..., None] * v) ** 2, axis=-1) + (bond * v[..., -1]) ** 2
+    )
+    # |T|_inf, the largest row sum of |T|
+    t_inf = _chain_times(np.abs(diag), np.abs(off), np.ones_like(v)).max(axis=-1)
+    scale = t_inf + bond + np.abs(sigma)
+    rho = (residual + 2 * (n + 2) * np.finfo(float).eps * scale * norm) / scale_v
+    d_energy = np.abs(energy - sigma) + rho
+    delta = np.maximum(2.0 * rho / tol, GROUND_GAP_TOL)
+    d_amp = np.sqrt(2.0) * rho / delta + np.abs(1.0 - norm)
+    ok = (norm > 0.0) & (np.maximum(d_energy, d_amp) <= tol)
+    if np.any(ok):
+        # the -1 chain has the same bonds: both counts run as one stack
+        odd_diag, _, _ = _chain_bands(omega0, coupling, space2, -1)
+        top = sigma + rho
+        below = _count_below(
+            np.stack([diag2, odd_diag]),
+            off2[..., None, :],
+            np.stack([top + delta, top + GROUND_GAP_TOL], axis=-1),
+        )
+        ok = ok & (below[..., 0] == 1) & (below[..., 1] == 0)
+    return np.where(ok, d_energy, np.nan), np.where(ok, d_amp, np.nan)
 
 
 def certify_ground(
@@ -291,30 +425,10 @@ def certify_ground(
     and every |<e,n|psi_0>| moves by at most sqrt(2)*rho/delta + |1 - |v||.
     Returns None when the counts do not hold, when a bound exceeds tol, or
     when psi_0 lies in the -1 chain; ground_level at space2 then decides.
+    This is certify_grounds at the one coupling params.coupling.
     """
-    psi, energy = ground
-    chain, rows = _sector_chain(params, space, 1)
-    v = psi[rows]
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return None
-    diag, off, _ = _chain_bands(params, space2, 1)
-    n = v.size
-    tv = chain @ v
-    sigma = float(v @ tv) / norm**2
-    bond = off[n - 1]
-    residual = np.append(tv - sigma * v, bond * v[-1])
-    scale = np.abs(chain).sum(axis=1).max() + bond + abs(sigma)
-    rho = (np.linalg.norm(residual) + 2 * (n + 2) * np.finfo(float).eps * scale * norm) / norm
-    d_energy = abs(energy - sigma) + rho
-    delta = max(2.0 * rho / tol, GROUND_GAP_TOL)
-    d_amp = np.sqrt(2.0) * rho / delta + abs(1.0 - norm)
-    if max(d_energy, d_amp) > tol:
-        return None
-    if _count_below(diag, off, sigma + rho + delta) != 1:
-        return None
-    odd_diag, odd_off, _ = _chain_bands(params, space2, -1)
-    if _count_below(odd_diag, odd_off, sigma + rho + GROUND_GAP_TOL):
+    d_energy, d_amp = certify_grounds(params.omega0, params.coupling, space, ground, space2, tol)
+    if np.isnan(d_energy):
         return None
     return float(d_energy), float(d_amp)
 

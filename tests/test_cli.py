@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usc_rabi import ModelParams, dressed_amplitude, dynamics, make_space, polaron
-from usc_rabi import ground_level, presets, rabi_core, solve_spectrum
+from usc_rabi import ground_level, ground_state, presets, rabi_core, solve_spectrum
 from usc_rabi.cli import main
 from usc_rabi.config import (
     ConfigError,
@@ -148,18 +148,20 @@ class TestCliRuns:
 
     def test_fig2_sweep_is_the_full_spectrum_ground_pair(self, tmp_path, monkeypatch,
                                                            eigh_calls):
-        # c10 and E0 come from ground_level at n_max; the full spectrum is the
-        # oracle.  Each point solves the +1 chain at n_max and only counts
-        # levels otherwise: the -1 chain's at n_max, and both chains' at
-        # 2*n_max for the certified guard.  1 eigh, no eigvalsh
+        # c10 and E0 come from the n_max ground pairs; the full spectrum is the
+        # oracle.  Each point's +1 chain at n_max is solved in a stack of
+        # chains, and only counted otherwise: the -1 chain's at n_max, and
+        # both chains' at 2*n_max for the certified guard.  One matrix per
+        # point, no eigvalsh
         raw = {"sweep_variable": "lambda", "sweep_start": 0.0, "sweep_stop": 1.5,
                "sweep_steps": 6, "n_max": 30, "output_path": str(tmp_path / "f2.csv")}
         cfg = build_config("fig2-sweep", raw)
         eigvalsh_calls = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: eigvalsh_calls.append(a))
         cols = run_preset(cfg).columns
-        assert len(eigh_calls) == cfg.sweep.steps and not eigvalsh_calls
-        assert (2 * cfg.n_max + 1, 2 * cfg.n_max + 1) not in eigh_calls
+        n = cfg.n_max + 1
+        assert all(len(shape) == 3 and shape[1:] == (n, n) for shape in eigh_calls)
+        assert sum(shape[0] for shape in eigh_calls) == cfg.sweep.steps and not eigvalsh_calls
         for lam, c10, energy in zip(cols["lambda"], cols["c10_exact"], cols["lambda0_exact"]):
             spec = solve_spectrum(ModelParams(omega0=cfg.omega0, coupling=lam),
                                   make_space(cfg.n_max, 2))
@@ -536,6 +538,23 @@ class TestTruncationCertificate:
         assert abs(energy - energy2) <= bounds[0] <= GUARD_TOL
         assert max(moves) <= bounds[1] <= GUARD_TOL
 
+    @pytest.mark.parametrize("n_max", [4, 20, 40])
+    def test_stack_decides_as_one_coupling_at_a_time(self, n_max):
+        grid = np.linspace(0.0, 4.0, 41)
+        space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
+        psi, energy, _ = rabi_core.ground_levels(1.0, grid, space)
+        stacked = rabi_core.certify_grounds(1.0, grid, space, (psi, energy), space2, GUARD_TOL)
+        single = [rabi_core.certify_ground(ModelParams(omega0=1.0, coupling=lam), space,
+                                           (psi[k], energy[k]), space2, GUARD_TOL)
+                  for k, lam in enumerate(grid)]
+        # the same decisions; the bounds agree to rounding, since a sum over a
+        # stack's rows need not add in the same order as over one vector
+        assert [np.isnan(e) for e in stacked[0]] == [b is None for b in single]
+        for k, bounds in enumerate(single):
+            if bounds is not None:
+                assert np.allclose([stacked[0][k], stacked[1][k]], bounds, rtol=0, atol=1e-14)
+        assert any(b is None for b in single) and any(b is not None for b in single)
+
     def test_excited_level_is_not_certified(self):
         # the +1 chain's second level as the trial pair: its residual is as
         # small as the ground level's, but a level lies below it
@@ -563,6 +582,178 @@ class TestTruncationCertificate:
         with pytest.raises(error):
             presets._guard_ground(params, n_max, ground, photons=photons)
         assert (2 * n_max + 1, 2 * n_max + 1) in eigh_calls
+
+
+def _pointwise_sweep(cfg):
+    """fig2-sweep one coupling at a time from the one-coupling guard and ground pair.
+
+    Returns the rows, or the type and message of the first error.
+    """
+    space = make_space(cfg.n_max, 2)
+    rows = []
+    try:
+        for lam in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps):
+            params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
+            psi, energy = presets._ground_level(params, space)
+            try:
+                presets._guard_ground(params, cfg.n_max, (psi, energy), label=f"lambda={lam:g}")
+            except ConvergenceGuardError as exc:
+                raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
+            pol = presets._checked(polaron.solve_xi_eta, params)
+            rows.append([lam, psi[space.index("e", 1)], polaron.c10_approx(params, pol),
+                         pol.xi, pol.eta, energy, pol.e_approx])
+    except (ConvergenceGuardError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return rows
+
+
+def _batched_sweep(cfg):
+    """run_fig2_sweep's rows, or the type and message of its error."""
+    try:
+        cols = run_preset(cfg).columns
+    except (ConvergenceGuardError, ConfigError) as exc:
+        return type(exc), str(exc)
+    return [list(row) for row in zip(*cols.values())]
+
+
+def _sweep_config(tmp_path, start, stop, steps, n_max, **raw):
+    return build_config("fig2-sweep", {
+        "sweep_variable": "lambda", "sweep_start": start, "sweep_stop": stop,
+        "sweep_steps": steps, "n_max": n_max, "output_path": str(tmp_path / "f2.csv"), **raw})
+
+
+class TestBatchedSweep:
+    """fig2-sweep's chunked grid solve against the same sweep one coupling at a time."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_chunk_boundary_rows_are_the_full_spectrum_pairs(self, tmp_path, extra):
+        n_max = 30
+        steps = presets._sweep_chunk(n_max) + extra
+        cfg = _sweep_config(tmp_path, 0.0, 1.5, steps, n_max)
+        cols = run_preset(cfg).columns
+        assert len(cols["lambda"]) == steps
+        for lam, c10, energy in zip(cols["lambda"], cols["c10_exact"], cols["lambda0_exact"]):
+            psi, want = ground_state(solve_spectrum(ModelParams(omega0=1.0, coupling=lam),
+                                                    make_space(n_max, 2)))
+            assert c10 == psi[make_space(n_max, 2).index("e", 1)] and energy == want
+
+    def test_deep_grid_nothing_certified_matches_pointwise(self, tmp_path):
+        # from lambda 2.5 on the bond term keeps rho above 1e-8 at n_max 40,
+        # so every point takes the 2*n_max stack
+        cfg = _sweep_config(tmp_path, 2.5, 3.3, 33, 40)
+        grid = np.linspace(2.5, 3.3, 33)
+        space, space2 = make_space(40, 2), make_space(80, 2)
+        psi, energy, _ = rabi_core.ground_levels(1.0, grid, space)
+        bounds, _ = rabi_core.certify_grounds(1.0, grid, space, (psi, energy), space2,
+                                              GUARD_TOL)
+        assert np.all(np.isnan(bounds))
+        rows = _pointwise_sweep(cfg)
+        assert isinstance(rows, list) and len(rows) == 33
+        assert _batched_sweep(cfg) == rows
+
+    @pytest.mark.parametrize("start, stop, steps, n_max, where", [
+        # the n_max ground level lies in the -1 chain: guard failure
+        (2.25, 2.3, 2, 6, "n_max=6 not converged at lambda=2.25: "),
+        (2.25, 2.3, 2, 8, "n_max=8 not converged at lambda=2.25: "),
+        # degenerate at the 2*n_max reference (n_max 20) or at n_max itself (40)
+        (3.6, 3.7, 2, 20, ") at lambda=3.6, n_max=40"),
+        (3.6, 3.7, 2, 40, ") at lambda=3.6, n_max=40"),
+        # the guard fails mid-chunk
+        (0.0, 0.9, 40, 4, "n_max=4 not converged at lambda=0.253846: "),
+    ])
+    def test_first_failure_as_pointwise(self, tmp_path, start, stop, steps, n_max, where):
+        cfg = _sweep_config(tmp_path, start, stop, steps, n_max)
+        outcome = _pointwise_sweep(cfg)
+        assert where in outcome[1]
+        assert _batched_sweep(cfg) == outcome
+
+    @pytest.mark.parametrize("n_max", [6, 8])
+    def test_ground_level_in_the_other_chain(self, n_max):
+        params = ModelParams(omega0=1.0, coupling=2.25)
+        spec = solve_spectrum(params, make_space(n_max, 2))
+        assert spec.parities[0] == -1
+        psi, energy, _ = rabi_core.ground_levels(1.0, np.array([2.0, 2.25]), make_space(n_max, 2))
+        want_psi, want_energy = ground_state(spec)
+        assert np.array_equal(psi[1], want_psi) and energy[1] == want_energy
+
+    def test_guard_failure_before_a_later_degenerate_level(self, tmp_path):
+        cfg = _sweep_config(tmp_path, 3.0, 3.6, 2, 20)
+        with pytest.raises(ConvergenceGuardError, match="at lambda=3: ground energy moved"):
+            run_preset(cfg)
+        # the later point alone is the degenerate 2*n_max reference
+        with pytest.raises(ConfigError, match=r"degenerate .* at lambda=3.6, n_max=40"):
+            run_preset(_sweep_config(tmp_path, 3.6, 3.7, 2, 20))
+
+    def test_unsolved_fixed_point_as_pointwise(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(polaron, "FIXED_POINT_MAX_ITER", 3)
+        cfg = _sweep_config(tmp_path, 1.0, 1.3, 7, 40, omega0=2.0)
+        outcome = _pointwise_sweep(cfg)
+        assert outcome[0] is ConfigError and "fixed point did not converge" in outcome[1]
+        assert _batched_sweep(cfg) == outcome
+
+
+class TestWriteCsv:
+    def test_rows_are_the_per_cell_format(self, tmp_path):
+        values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 40, 1e-300, 1e16, -1.5e-7,
+                  0.1 + 0.2, 123456789.123456789]
+        cols = {"a": values, "b": np.array(values[::-1]), "n_max": [40] * len(values)}
+        path = presets.write_csv(tmp_path / "x.csv", {"k": -0.0, "n": 3}, cols)
+        want = ["# k = 0", "# n = 3", "a,b,n_max"] + [
+            ",".join(presets._fmt(float(np.asarray(c)[i])) for c in cols.values())
+            for i in range(len(values))]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+        assert want[3] == "0,123456789.123,40" and want[5] == "nan,-1.5e-07,40"
+
+
+class TestArrayBound:
+    """config.largest_array_bytes: the largest dense array a preset allocates."""
+
+    @pytest.mark.parametrize("preset", ["fig2-sweep", "fig3-evolve", "resonance-scan",
+                                        "convergence-report", "two-state-compare"])
+    def test_n_max_200000_is_config_error(self, tmp_path, capsys, preset):
+        cfg = _write(tmp_path, "big.cfg", "n_max = 200000\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "big.csv")]) == 3
+        assert "n_max=200000 needs a " in capsys.readouterr().err
+
+    def test_computed_without_allocating(self):
+        import tracemalloc
+
+        from usc_rabi import config
+
+        # build_config itself rejects them
+        cfgs = [dataclasses.replace(build_config(p), n_max=200000) for p in config.PRESETS]
+        tracemalloc.start()
+        sizes = [config.largest_array_bytes(c) for c in cfgs]
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1 << 16
+        n, n2 = 200001, 400001
+        full, full2 = 16 * (3 * n) ** 2, 16 * (3 * n2) ** 2
+        assert sizes == [8 * n2 * n2, full, full, full2, full]
+        assert min(sizes) > config.MAX_ARRAY_BYTES
+
+    @pytest.mark.parametrize("preset", ["two-state-compare", "convergence-report"])
+    def test_is_the_propagated_full_space_matrix(self, preset):
+        from usc_rabi import config
+
+        cfg = build_config(preset, {"n_max": 8})
+        n_max = 16 if preset == "convergence-report" else 8
+        h = dynamics.static_hamiltonian(ModelParams(omega0=1.0, coupling=0.5),
+                                        make_space(n_max, 3))
+        assert config.largest_array_bytes(cfg) == h.nbytes
+
+    def test_bounds_the_sweep_stacks(self, tmp_path, monkeypatch):
+        from usc_rabi import config
+
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.nbytes) or eigh(a))
+        # nothing certified, and one chunk: the 2*n_max stacks are full
+        cfg = _sweep_config(tmp_path, 2.5, 3.3, 40, 20)
+        with pytest.raises(ConvergenceGuardError):
+            run_preset(cfg)
+        assert max(sizes) <= config.largest_array_bytes(cfg)
+        assert max(sizes) > rabi_core.STACK_BYTES // 2
 
 
 # small configs of all five presets, run in one fresh interpreter

@@ -147,6 +147,34 @@ class TestGroundLevel:
         with pytest.raises(ValueError):
             ground_level(ModelParams(omega0=1.0, coupling=0.2), make_space(10, 3))
 
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    @pytest.mark.parametrize("n_max", [4, 40])
+    def test_stacks_are_the_full_spectrum_bit_for_bit(self, n_max, extra):
+        # one coupling, one eigh stack (STACK_BYTES) and one more; at n_max 4
+        # the -1 chain lies lower from lambda 3 on
+        step = max(1, rabi_core.STACK_BYTES // (8 * (n_max + 1) ** 2))
+        grid = np.linspace(0.0, 3.3, 1 if extra is None else step + extra)
+        space = make_space(n_max, 2)
+        psi, energy, gap = rabi_core.ground_levels(1.0, grid, space)
+        assert psi.shape == (grid.size, space.dim) and energy.shape == gap.shape == grid.shape
+        for k, lam in enumerate(grid):
+            spec = solve_spectrum(ModelParams(omega0=1.0, coupling=lam), space)
+            want = spec.eigenvectors[:, 0], spec.ground_energy
+            assert np.array_equal(psi[k], want[0]) and energy[k] == want[1]
+            assert (gap[k] >= rabi_core.GROUND_GAP_TOL) == (
+                spec.eigenvalues[1] - spec.eigenvalues[0] >= rabi_core.GROUND_GAP_TOL)
+
+    def test_count_stacks_as_one_chain_at_a_time(self):
+        space = make_space(40, 2)
+        grid = np.array([0.0, 0.5, 1.5, 3.0])
+        diag, off, _ = rabi_core._chain_bands(1.0, grid, space, -1)
+        shifts = np.array([-0.5, 0.0, 0.7, 2.0])
+        counts = rabi_core._count_below(diag, off, shifts)
+        assert counts.shape == grid.shape
+        for k in range(grid.size):
+            assert counts[k] == rabi_core._count_below(diag, off[k], shifts[k])
+        assert rabi_core._count_below(diag, off[0], shifts[0]).shape == ()
+
 
 class TestSturmCount:
     """_count_below against the chain's dense eigenvalues, the oracle."""
@@ -159,7 +187,7 @@ class TestSturmCount:
         # shifts that hit a level, and degenerate levels within one chain
         params = ModelParams(omega0=1.0, coupling=lam)
         space = make_space(n_max, 2)
-        diag, off, _ = rabi_core._chain_bands(params, space, parity)
+        diag, off, _ = rabi_core._chain_bands(params.omega0, params.coupling, space, parity)
         w = np.linalg.eigvalsh(rabi_core._sector_chain(params, space, parity)[0])
         levels = np.unique(w)
         shifts = np.concatenate([[levels[0] - 1.0], 0.5 * (levels[:-1] + levels[1:]),
@@ -175,7 +203,7 @@ class TestSturmCount:
     def test_zero_pivot_counts_the_level_below(self):
         # at lambda = 0 the chain is diagonal; x on a level makes its pivot 0
         params = ModelParams(omega0=1.0, coupling=0.0)
-        diag, off, _ = rabi_core._chain_bands(params, make_space(4, 2), 1)
+        diag, off, _ = rabi_core._chain_bands(params.omega0, params.coupling, make_space(4, 2), 1)
         assert rabi_core._count_below(diag, off, -0.5) == 1
 
 

@@ -27,26 +27,31 @@ the sector closed, and one of two integrators steps them:
 - folded period: when the drive is periodic (drive_freq > 0) and dt divides
   its period T = 2*pi/drive_freq to 1e-12 relative (the default dt = T/200
   and its halving T/400 do), the CF4 factors repeat every period: they are
-  built by a real eigendecomposition, multiplied into the one-period
-  propagator U(T), and each sample is read off psi(qT + r dt) = P_r U(T)^q psi(0),
-  with P_r the first r factors of the period (Shirley, Phys. Rev. 138, B979
-  (1965)).  Two symmetries of the drive fold the period further.  It is even
-  in time and the Gauss nodes sum to 1, so factor n_per-1-r is the transpose
-  of factor r.  It changes sign over half a period, and
-  S = diag(+1 on g, e; -1 on f) commutes with the static part and
-  anticommutes with the drive, so for even n_per factor r + n_per/2 is
-  S (factor r) S.  Only the first quarter period of factors is ever built
-  (half a period when n_per is odd), in one pass that steps the identity
-  through it.  Each sample is P_r applied to a segment start, forward, or
-  backward by conjugation from the next one, with r at most that quarter
-  period, so it is read off a few probe rows of P_r recorded by the pass:
-  at the default T/200 a propagation makes 100 eigendecompositions.  Each
-  step's drive strengths come from its phase on the period grid, not from
-  drive_freq, so propagations at several drive frequencies with the same
-  steps per period can share their eigendecompositions through the
-  factors argument of propagate.  The norm reported is that of the segment
-  start, and the drift guard adds the recorded unitarity defect of P_r, so
-  it bounds the true drift from above.
+  multiplied into the one-period propagator U(T), and each sample is read
+  off psi(qT + r dt) = P_r U(T)^q psi(0), with P_r the first r factors of
+  the period (Shirley, Phys. Rev. 138, B979 (1965)).  Two symmetries of the
+  drive fold the period further.  It is even in time and the Gauss nodes
+  sum to 1, so factor n_per-1-r is the transpose of factor r.  It changes
+  sign over half a period, and S = diag(+1 on g, e; -1 on f) commutes with
+  the static part and anticommutes with the drive, so for even n_per
+  factor r + n_per/2 is S (factor r) S.  Only the first quarter period of
+  factors is ever built (half a period when n_per is odd), in one pass that
+  steps the identity through it.  Each sample is P_r applied to a segment
+  start, forward, or backward by conjugation from the next one, with r at
+  most that quarter period, so it is read off a few probe rows of P_r
+  recorded by the pass.  Each half-step factor exp(-i (dt/2)(H_static +
+  gamma V)) is entire in the drive strength gamma, so the pass
+  diagonalizes at a few Chebyshev nodes in gamma, as many as an
+  interpolation bound needs to hold every factor to 1e-17, and forms each
+  factor as a weighted sum of the node factors: at the default T/200 and
+  drive_amp a propagation makes 5 real eigendecompositions (4 at T/400)
+  where one per factor would be 100 (200).  Each step's drive strengths
+  come from its phase on the period grid, not from drive_freq, so
+  propagations at several drive frequencies with the same steps per period
+  can share their node eigendecompositions through the factors argument of
+  propagate.  The norm reported is that of the segment start, and the
+  drift guard adds the recorded unitarity defect of P_r, so it bounds the
+  true drift from above.
 - step loop: a step off the period grid, or no drive frequency, steps the
   sector one CF4 step at a time, applying each exponential to the state by
   an adaptive Taylor expansion exact to machine precision at the step sizes
@@ -62,7 +67,6 @@ rabi_extract reads the Rabi frequency off a trace with a numpy peak finder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 from math import ceil
 
 import numpy as np
@@ -86,6 +90,8 @@ MIN_STEPS_PER_DRIVE_CYCLE = 50
 DEFAULT_MIN_SAMPLES = 2000
 # relative tolerance for a step to count as dividing the drive period
 PERIOD_GRID_RTOL = 1e-12
+# bound on the max-abs interpolation error of a folded pass's half-step factor
+NODE_TOL = 1e-17
 
 
 class NormDriftError(RuntimeError):
@@ -261,11 +267,15 @@ def propagate(
     CF4 step by step (_step_loop).
 
     factors is an optional caller-owned dict in which the folded period keeps
-    the eigendecompositions of its quarter period of half-step factors.  On
-    the period grid they depend on the sector matrices, drive_amp and the
-    steps per period alone, not on drive_freq or dt, so calls that share
-    those reuse them; a call with any other key replaces them.  Without it
-    each eigendecomposition is dropped once applied.
+    the real eigendecompositions (w, q) of the sector Hamiltonian at the few
+    drive strengths (nodes) its half-step factors are interpolated from.  On
+    the period grid they depend on the sector matrices, drive_amp, the
+    steps per period and the node count alone, not on drive_freq, so calls
+    that share those reuse them; the node count follows from dt and is the
+    same across a scan on one grid unless its dt range crosses a degree of
+    the interpolation bound.  A call with any other key replaces them.
+    Without it the eigendecompositions are dropped once the node factors
+    are formed.
     """
     if space.atom_levels != 3:
         raise ValueError("propagation runs on the 3-level space")
@@ -342,15 +352,66 @@ def _steps_per_period(params: ModelParams, dt: float) -> int:
     return n_per if abs(n_per * dt - period) <= PERIOD_GRID_RTOL * period else 0
 
 
-def _cf4_gammas(params: ModelParams, t: float, dt: float) -> tuple[float, float]:
+def _cf4_gammas(params: ModelParams, t: float | np.ndarray, dt: float) -> tuple:
     """Drive strengths (gamma_a, gamma_b) of the two CF4 factors of the step from t.
 
     The step is exp(-i (dt/2) (H_static + gamma_b V)) exp(-i (dt/2) (H_static
-    + gamma_a V)), so the factor of gamma_a is applied first.
+    + gamma_a V)), so the factor of gamma_a is applied first.  For an array
+    of step starts t, each strength is an array like it.
     """
     c1 = params.drive_amp * np.cos(params.drive_freq * (t + _GAUSS_C1 * dt))
     c2 = params.drive_amp * np.cos(params.drive_freq * (t + _GAUSS_C2 * dt))
     return 2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2), 2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)
+
+
+def _half_step_nodes(gammas: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drive strengths to diagonalize at, and the weights that give each half step from them.
+
+    E(gamma) = exp(-i tau (h_s + gamma v_s)) is entire in gamma with
+    ||d^k E / dgamma^k|| <= (tau ||v_s||)^k, and ||v_s|| = 1 for the drive.
+    Its degree-d interpolant at the d+1 Chebyshev nodes of [min gammas,
+    max gammas], of half-width h, is then off by at most
+    2 (h tau / 2)^(d+1) / (d+1)! (the Hermite-Genocchi form of the
+    remainder), and d is the smallest degree that takes this to NODE_TOL.
+    Row j of the weights returned gives E(gammas[j]) = sum_k weights[j, k]
+    E(nodes[k]), by the barycentric formula.  When d+1 would reach the
+    number of distinct gammas, the nodes are those gammas and each row of
+    weights picks one, so a pass never diagonalizes more often than it has
+    distinct half steps.
+    """
+    distinct, index = np.unique(gammas, return_inverse=True)
+    lo, hi = distinct[0], distinct[-1]
+    x = 0.5 * (hi - lo) * tau / 2.0
+    d, bound = 0, 2.0 * x
+    while bound > NODE_TOL and d + 2 < len(distinct):
+        d += 1
+        bound *= x / (d + 1)
+    if bound > NODE_TOL:
+        return distinct, np.eye(len(distinct))[index]
+    theta = (2 * np.arange(d + 1) + 1) * np.pi / (2 * d + 2)
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+    diff = gammas[:, None] - nodes
+    hit = diff == 0.0
+    c = np.where(hit.any(axis=1, keepdims=True), hit,
+                 (-1.0) ** np.arange(d + 1) * np.sin(theta) / np.where(hit, 1.0, diff))
+    return nodes, c / c.sum(axis=1, keepdims=True)
+
+
+def _node_factors(w: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
+    """Stack of the half-step factors q diag(exp(-i tau w)) q^T, one per node, each polished.
+
+    One Newton-Schulz polar step E <- E - E (E^H E - I) / 2 squares each
+    factor's unitarity defect.  The interpolated half steps of a pass share
+    the nodes' rounding errors, which would otherwise add up coherently
+    over the pass.
+    """
+    k, dim = w.shape
+    out = np.empty((k, dim, dim), dtype=complex)
+    eye = np.eye(dim)
+    for e, wj, qj in zip(out, w, q):
+        np.matmul(qj * np.exp(-1j * tau * wj), qj.T, out=e)
+        e -= 0.5 * (e @ (e.conj().T @ e - eye))
+    return out
 
 
 def _propagate_sector(
@@ -367,8 +428,9 @@ def _propagate_sector(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CF4 on the sector blocks h_s, v_s, one folded drive period at a time.
 
-    Step r of every period applies the same CF4 factor F(r) = E(b) E(a), each
-    half-step E = q diag(exp(-i (dt/2) w)) q^T from a real eigh, so E^T = E.
+    Step r of every period applies the same CF4 factor F(r) = E(b_r) E(a_r),
+    with E(gamma) = exp(-i tau (h_s + gamma v_s)), tau = dt/2, the half step at
+    drive strength gamma; h_s and v_s are real, so E^T = E.
     Let P_m = F(m-1)...F(0), so U(T) = P_n_per.  Two symmetries fold a period:
 
     - time reversal: the Gauss nodes sum to 1 and the drive is even in t, so
@@ -391,9 +453,21 @@ def _propagate_sector(
     propagate and psi0^H S, psi0^T and psi0^T S (the transposed rows serve
     the backward samples, read by conjugation; M leaves |<f,n|...>| alone).
     Each sample is then read off as one row product with its start column,
-    grouped by r.  The pass builds each distinct factor once: n_per/2
-    eigendecompositions for even n_per.  The amplitudes returned at the
-    sample steps marks are the probe overlaps up to a phase.
+    grouped by r.  The amplitudes returned at the sample steps marks are the
+    probe overlaps up to a phase.
+
+    The pass's 2 ceil(L/2) half steps are not diagonalized one by one.
+    _half_step_nodes picks d+1 Chebyshev nodes on the range of their
+    strengths, d the smallest degree whose interpolation bound
+    2 (h tau / 2)^(d+1) / (d+1)! (h the range's half-width, ||v_s|| = 1 for
+    the drive) is at most NODE_TOL, or the strengths themselves when that
+    is no fewer.  One stacked real eigh gives the node factors
+    q diag(exp(-i tau w)) q^T, each given one Newton-Schulz polar step
+    (_node_factors), and every half step is the barycentric combination
+    sum_k l_k(gamma) E(node_k): one weights row times the flattened stack,
+    then one complex matmul to apply it.  At the presets' default drive
+    (drive_amp 0.2, drive_freq 4.63) that is 5 eigendecompositions for the
+    100 half steps of T/200, and 4 for the 200 of T/400.
 
     The norm returned is ||c||.  The pass also records the unitarity defect
     d_r = ||P_r^H P_r - I||_F at each needed r, which bounds the 2-norm, so
@@ -402,9 +476,10 @@ def _propagate_sector(
     bound on the true drift.
 
     The drive strengths of step r come from its grid phases 2*pi*(r + c_k)/n_per,
-    the periodicity the fold already assumes, so the factors' (w, q) depend on
-    (h_s, v_s, drive_amp, n_per) alone; factors, when given, keeps them under
-    that key (see propagate).
+    the periodicity the fold already assumes, so the nodes depend on
+    (drive_amp, n_per) and, through the degree, on dt, and the nodes'
+    (w, q) on (h_s, v_s, nodes) alone; factors, when given, keeps (w, q)
+    under the key (h_s, v_s, drive_amp, n_per, nodes) (see propagate).
     """
     dim = h_s.shape[0]
     if n_per % 2:
@@ -418,30 +493,37 @@ def _propagate_sector(
     n_mid = (n_seg + 1) // 2
 
     # step r on a clock that ticks once per step: the Gauss-node phases are
-    # 2*pi*(r + c_k)/n_per, the same for every drive_freq on this grid
+    # 2*pi*(r + c_k)/n_per, the same for every drive_freq on this grid; the
+    # pass applies the half steps in the order a_0, b_0, a_1, b_1, ...
     grid = replace(params, drive_freq=2.0 * np.pi / n_per)
+    gammas = np.stack(_cf4_gammas(grid, np.arange(n_mid), 1.0), axis=1).ravel()
+    tau = 0.5 * dt
+    nodes, weights = _half_step_nodes(gammas, tau)
 
-    def half_steps():
-        for r in range(n_mid):
-            for gamma in _cf4_gammas(grid, r, 1.0):
-                yield np.linalg.eigh(h_s + gamma * v_s)
+    def node_eigh():
+        return np.linalg.eigh(h_s + nodes[:, None, None] * v_s)
 
-    if factors is None:
-        pairs = half_steps()
-    else:
-        key = (h_s.tobytes(), v_s.tobytes(), params.drive_amp, n_per)
+    if factors is not None:
+        key = (h_s.tobytes(), v_s.tobytes(), params.drive_amp, n_per, nodes.tobytes())
         if factors.get("key") != key:
             factors.clear()
-            factors.update(key=key, pairs=list(half_steps()))
-        pairs = iter(factors["pairs"])
+            factors.update(key=key, eigh=node_eigh())
 
-    def step(x: np.ndarray) -> np.ndarray:
-        """Apply the next CF4 step of the pass to x, the float view of complex columns."""
-        for w, q in islice(pairs, 2):
-            y = (q.T @ x).view(complex)
-            y *= np.exp(-0.5j * dt * w)[:, None]
-            x = q @ y.view(float)
-        return x
+    def half_steps():
+        """E(a_0), E(b_0), E(a_1), ... of the pass, each a weights row times the node factors.
+
+        Each is formed in one buffer, so it holds until the next is asked
+        for.  The node factors are formed when the pass asks for its first
+        half step and dropped when it closes the generator, as are their
+        eigendecompositions unless factors keeps them.
+        """
+        e_flat = _node_factors(*(node_eigh() if factors is None else factors["eigh"]), tau)
+        # float view of the flattened node factors, for real weights
+        e_flat = e_flat.reshape(len(nodes), -1).view(float)
+        e = np.empty(e_flat.shape[1])
+        for l in weights:
+            np.matmul(l, e_flat, out=e)
+            yield e.view(complex).reshape(dim, dim)
 
     # sample at step m = seg * n_seg + s with s in 1..n_seg (0 only for m = 0);
     # it is P_at applied to the start column of phi_base, conjugated when `back`
@@ -464,17 +546,20 @@ def _propagate_sector(
     rows = np.empty((slot[-1] + 1,) + probe.shape, dtype=complex)
     defect = np.zeros(n_mid + 1)
     eye = np.eye(dim)
-    p_lo = p = eye.astype(complex).view(float)
+    half = half_steps()
+    p_lo = p = eye.astype(complex)
     for r in range(n_mid + 1):
         if r:
-            p_lo, p = p, step(p)
+            # step r-1: E(a_{r-1}), then E(b_{r-1})
+            p_lo, p = p, next(half) @ p
+            p = next(half) @ p
         if needed[r]:
-            pr = p.view(complex)
-            rows[slot[r]] = probe @ pr
-            defect[r] = np.linalg.norm(pr.conj().T @ pr - eye)
+            rows[slot[r]] = probe @ p
+            defect[r] = np.linalg.norm(p.conj().T @ p - eye)
+    half.close()  # drops the node factors before the segment map
     if n_seg % 2 == 0:
         p_lo = p
-    seg_map = (p.view(complex).T * m_sign) @ p_lo.view(complex)
+    seg_map = (p.T * m_sign) @ p_lo
 
     cols = np.empty((dim, len(keys)), dtype=complex)
     phi, i = psi0, 0

@@ -363,7 +363,7 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
         points = [(float(wp), 1.05 * t_half[1]) for wp in grid]
 
     # on the default grid every point has the same steps per drive period, so
-    # all share one set of sector factors
+    # all share one set of node eigendecompositions (see dynamics.propagate)
     factors: dict = {}
     cols: dict = {"omega_p": [], "max_p_f1": [], "max_p_f3": []}
     for omega_p, t_end in points:

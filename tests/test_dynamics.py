@@ -432,19 +432,23 @@ class TestSectorFloquet:
 
     def test_folded_period_builds_each_factor_once(self, small_setup, monkeypatch, eigh_calls):
         # 2 * n_per half-step factors per period; the two symmetries leave
-        # n_per / 2 distinct ones, and the single pass builds each once
+        # n_per / 2 distinct ones, and the single pass builds each once, from
+        # one stacked eigh of at most that many matrices
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=3.3 * period, dt=2.0 * np.pi / (200 * omega_p))
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         propagate(params, make_space(N_SMALL, 3), cfg, initial)
-        assert 0 < len(eigh_calls) <= 100
+        assert len(eigh_calls) == 1 and 0 < eigh_calls[0][0] <= 100
 
     def test_shared_factors_serve_every_drive_frequency(self, small_setup, monkeypatch,
                                                         eigh_calls):
-        # on the default grid the factors do not depend on omega_p, so a
-        # resonance scan builds one pass's worth, n_per / 2, for all its points
+        # on the default grid the node eigendecompositions do not depend on
+        # omega_p, so a resonance scan builds one set for all its points.  At
+        # drive_amp 0.2 the pass's strengths span h = 0.0995 either side of
+        # their middle, and at T/200 tau = dt/2 is 2.8e-3 to 3.4e-3 here: the
+        # bound 2 (h tau / 2)^(d+1) / (d+1)! first reaches NODE_TOL at d = 4
         base, _, initial, omega_p = small_setup
         space = make_space(N_SMALL, 3)
         factors: dict = {}
@@ -455,12 +459,17 @@ class TestSectorFloquet:
             shared = _fields(propagate(driven, space, cfg, initial, factors=factors))
             alone = _fields(propagate(driven, space, cfg, initial))
             assert all(np.array_equal(shared[f], alone[f]) for f in alone)
-        assert len(eigh_calls) == 100 + 3 * 100
+        # one stack of 5 nodes for the shared calls, one per unshared call
+        dim = 19
+        assert eigh_calls == [(5, dim, dim)] * (1 + 3)
 
     def test_resonance_scan_builds_one_pass_of_factors(self, tmp_path, monkeypatch, eigh_calls):
-        # six points, one propagate call each, one pass's worth of factors;
-        # the spectrum's chain solves go through np.linalg.eigh too, so count
-        # the driven sector's shape only: 9 chain sites and |f,1>, ..., |f,7>
+        # six points, one propagate call each, one set of node factors; the
+        # spectrum's chain solves go through np.linalg.eigh too, so count the
+        # driven sector's shape only: 9 chain sites and |f,1>, ..., |f,7>.
+        # At Omega 0.4 (h = 0.199) and T/200 (tau 2.3e-3 to 3.4e-3 over the
+        # 1-, 2- and 3-photon windows) the bound first reaches NODE_TOL at
+        # d = 4, so every point has the same 5 nodes
         text = ("n_max = 8\nOmega = 0.4\nt_end = 3\nsweep_variable = delta_omega_p\n"
                 "sweep_start = -0.05\nsweep_stop = 0.05\nsweep_steps = 2\n")
         path = tmp_path / "rs.cfg"
@@ -477,8 +486,8 @@ class TestSectorFloquet:
         monkeypatch.setattr(dynamics, "propagate", counting_propagate)
         run_preset(cfg)
         assert len(propagations) == 6
-        sector = [shape for shape in eigh_calls if shape == (13, 13)]
-        assert len(sector) == dynamics.DEFAULT_STEPS_PER_DRIVE_CYCLE // 2
+        sector = [shape for shape in eigh_calls if shape[-2:] == (13, 13)]
+        assert sector == [(5, 13, 13)]
 
     def test_reused_factors_give_the_unshared_result(self, small_setup, monkeypatch):
         # one memo across calls that change each part of its key, and back:
@@ -552,21 +561,22 @@ class TestSectorFloquet:
         assert 0.0 < t_named <= t_column
 
     def test_norm_guard_adds_the_unitarity_defect(self, small_setup, monkeypatch):
-        # factors non-unitary by about 1e-8 per step; up to t_end = T/5 every
-        # sample reads forward from psi(0), so the start-column norm stays 1
-        # and only the recorded defect of P_r can show the drift
+        # node factors non-unitary by 5e-9 after their polar step, so every
+        # half step interpolated from them is too: about 1e-8 per step.  Up
+        # to t_end = T/5 every sample reads forward from psi(0), so the
+        # start-column norm stays 1 and only the recorded defect of P_r can
+        # show the drift
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.2, omega_p)
         space = make_space(N_SMALL, 3)
         period = 2.0 * np.pi / omega_p
-        eigh = np.linalg.eigh
+        node_factors = dynamics._node_factors
 
-        def inflating_eigh(a, *args, **kwargs):
-            w, q = eigh(a, *args, **kwargs)
-            return w, q * (1.0 + 2.5e-9)
+        def inflated(*args):
+            return node_factors(*args) * (1.0 + 5e-9)
 
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
-        monkeypatch.setattr(dynamics.np.linalg, "eigh", inflating_eigh)
+        monkeypatch.setattr(dynamics, "_node_factors", inflated)
 
         def run(norm_tol):
             cfg = PropagationConfig(t_end=0.2 * period, dt=period / 200, norm_tol=norm_tol)
@@ -626,6 +636,113 @@ class TestSectorFloquet:
             cfg = PropagationConfig(t_end=1.0, dt=2.0 * np.pi / (n_per * omega_p))
             with pytest.raises(ValueError, match="parity sector"):
                 propagate(params, space, cfg, initial)
+
+
+class TestHalfStepNodes:
+    """The folded pass's half steps, interpolated from a few node factors, against eigh."""
+
+    @pytest.fixture(scope="class")
+    def starts(self):
+        base = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0)
+        return {n_max: _embedded_ground(base, n_max) for n_max in (4, 20, 40)}
+
+    @staticmethod
+    def _pass(monkeypatch, base, omega_p, amp, n_per, n_max, initial):
+        """Run one folded propagation and return what its pass built its half steps from."""
+        seen: dict = {}
+        sector, nodes_of, factors_of = (dynamics._propagate_sector, dynamics._half_step_nodes,
+                                        dynamics._node_factors)
+
+        def spy_sector(params, dt, h_s, v_s, *rest):
+            seen.update(h_s=h_s, v_s=v_s, tau=0.5 * dt)
+            return sector(params, dt, h_s, v_s, *rest)
+
+        def spy_nodes(gammas, tau):
+            seen["gammas"] = gammas
+            seen["nodes"], seen["weights"] = out = nodes_of(gammas, tau)
+            return out
+
+        def spy_factors(*args):
+            seen["stack"] = factors_of(*args)
+            return seen["stack"]
+
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        monkeypatch.setattr(dynamics, "_propagate_sector", spy_sector)
+        monkeypatch.setattr(dynamics, "_half_step_nodes", spy_nodes)
+        monkeypatch.setattr(dynamics, "_node_factors", spy_factors)
+        params = _driven(base, amp, omega_p)
+        period = 2.0 * np.pi / omega_p
+        cfg = PropagationConfig(t_end=0.3 * period, dt=period / n_per)
+        propagate(params, make_space(n_max, 3), cfg, initial)
+        return seen
+
+    @staticmethod
+    def _worst_gap(seen) -> float:
+        """Largest max-abs gap between an interpolated half step and its eigh factor."""
+        h_s, v_s, tau = seen["h_s"], seen["v_s"], seen["tau"]
+        interpolated = np.tensordot(seen["weights"], seen["stack"], axes=1)
+        worst = 0.0
+        for gamma, got in zip(seen["gammas"], interpolated):
+            w, q = np.linalg.eigh(h_s + gamma * v_s)
+            worst = max(worst, np.max(np.abs(got - (q * np.exp(-1j * tau * w)) @ q.T)))
+        return worst
+
+    @pytest.mark.parametrize("n_max", [4, 20, 40])
+    @pytest.mark.parametrize("amp", [0.05, 0.2, 0.8, 5.0])
+    @pytest.mark.parametrize("n_per", [50, 51, 200, 400])
+    def test_every_half_step_matches_its_eigh_factor(self, small_setup, starts, monkeypatch,
+                                                     n_per, amp, n_max):
+        base, _, _, omega_p = small_setup
+        seen = self._pass(monkeypatch, base, omega_p, amp, n_per, n_max, starts[n_max])
+        # the pass's 2 ceil(L/2) strengths, L = n_per/2 (n_per when odd)
+        n_seg = n_per // 2 if n_per % 2 == 0 else n_per
+        assert len(seen["gammas"]) == 2 * ((n_seg + 1) // 2)
+        assert len(seen["nodes"]) < len(seen["gammas"])
+        assert self._worst_gap(seen) <= 1e-14
+
+    def test_no_drive_takes_one_node(self, small_setup, starts, monkeypatch, eigh_calls):
+        base, _, _, omega_p = small_setup
+        seen = self._pass(monkeypatch, base, omega_p, 0.0, 200, 20, starts[20])
+        dim = seen["h_s"].shape[0]
+        assert np.array_equal(seen["nodes"], [0.0])
+        assert eigh_calls[-1] == (1, dim, dim)
+        assert self._worst_gap(seen) <= 1e-14
+
+    @pytest.mark.parametrize("n_max", [4, 20])
+    def test_strong_drive_diagonalizes_no_more_than_one_per_half_step(
+            self, small_setup, starts, monkeypatch, eigh_calls, n_max):
+        # Omega 50 at T/50: the pass's 26 strengths span h = 26.0 either side
+        # of their middle and tau = 0.0136, so the bound first reaches
+        # NODE_TOL at d = 11; one eigh per distinct half step would be 26
+        base, _, _, omega_p = small_setup
+        seen = self._pass(monkeypatch, base, omega_p, 50.0, 50, n_max, starts[n_max])
+        dim = seen["h_s"].shape[0]
+        assert len(seen["gammas"]) == 26
+        assert eigh_calls[-1] == (12, dim, dim)
+        assert self._worst_gap(seen) <= 1e-14
+
+    def test_long_horizon_matches_step_loop(self, tmp_path, monkeypatch):
+        # convergence-report's base run at its defaults (n_max 40, T/200, 104
+        # half-period segments): the node rounding errors must not add up over
+        # the segment map's powers
+        cfg = load_experiment("convergence-report", out=tmp_path / "cr.csv")
+        runs = []
+        propagate_fn = dynamics.propagate
+
+        def recording_propagate(*args, **kwargs):
+            runs.append((args, propagate_fn(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(dynamics, "propagate", recording_propagate)
+        run_preset(cfg)
+        monkeypatch.setattr(dynamics, "propagate", propagate_fn)
+        args, fast = runs[0]
+        params, space, prop, _ = args
+        assert space.n_max == 40
+        assert dynamics._steps_per_period(params, prop.dt) == 200
+        slow = _on_step_loop(monkeypatch, *args)
+        for name in ("p_f1", "p_ground", "norm"):
+            assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 5e-13, name
 
 
 def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):

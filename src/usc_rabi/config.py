@@ -213,9 +213,14 @@ def largest_array_bytes(cfg: ExperimentConfig) -> int:
     The truncation guard's real 2*n_max chain; fig2-sweep's eigh stacks of
     chains, up to rabi_core.STACK_BYTES; and the complex 3-level full-space
     matrices of a propagation (static_hamiltonian, drive_operator), at
-    2*n_max for convergence-report's refined run.  Every other array is
-    smaller: solve_spectrum's real 2-level eigenvectors, and fig2-sweep's
-    arrays over a chunk of couplings.
+    2*n_max for convergence-report's refined run.  Every other array that
+    grows with n_max is smaller (solve_spectrum's real 2-level
+    eigenvectors, fig2-sweep's arrays over a chunk of couplings) but one: a
+    folded propagation pass's stack of node factors, a few sector matrices
+    whose number grows with the drive strength too.  That one is not
+    counted here; the pass holds it to dynamics.NODE_STACK_BYTES, under
+    MAX_ARRAY_BYTES, and diagonalizes its half steps one at a time where it
+    would be larger.
     """
     n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
     chain2 = 8 * n2 * n2

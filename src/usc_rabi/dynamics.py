@@ -45,7 +45,10 @@ the sector closed, and one of two integrators steps them:
   interpolation bound needs to hold every factor to 1e-17, and forms each
   factor as a weighted sum of the node factors: at the default T/200 and
   drive_amp a propagation makes 5 real eigendecompositions (4 at T/400)
-  where one per factor would be 100 (200).  Each step's drive strengths
+  where one per factor would be 100 (200).  A drive so strong that the
+  bound needs a node per factor, or a sector so large that the node
+  factors would pass NODE_STACK_BYTES (32 MiB), diagonalizes each factor
+  as it is applied instead.  Each step's drive strengths
   come from its phase on the period grid, not from drive_freq, so
   propagations at several drive frequencies with the same steps per period
   can share their node eigendecompositions through the factors argument of
@@ -92,6 +95,8 @@ DEFAULT_MIN_SAMPLES = 2000
 PERIOD_GRID_RTOL = 1e-12
 # bound on the max-abs interpolation error of a folded pass's half-step factor
 NODE_TOL = 1e-17
+# largest stack of node factors a folded pass interpolates its half steps from
+NODE_STACK_BYTES = 1 << 25
 
 
 class NormDriftError(RuntimeError):
@@ -268,12 +273,14 @@ def propagate(
 
     factors is an optional caller-owned dict in which the folded period keeps
     the real eigendecompositions (w, q) of the sector Hamiltonian at the few
-    drive strengths (nodes) its half-step factors are interpolated from.  On
-    the period grid they depend on the sector matrices, drive_amp, the
-    steps per period and the node count alone, not on drive_freq, so calls
-    that share those reuse them; the node count follows from dt and is the
-    same across a scan on one grid unless its dt range crosses a degree of
-    the interpolation bound.  A call with any other key replaces them.
+    drive strengths (nodes) its half-step factors are interpolated from,
+    keyed by the sector matrices and the nodes.  On the period grid the
+    nodes depend on drive_amp, the steps per period and the node count
+    alone, not on drive_freq, so calls that share those reuse them; the
+    node count follows from dt and is the same across a scan on one grid
+    unless its dt range crosses a degree of the interpolation bound.  A
+    call with other nodes replaces them, and a call that diagonalizes each
+    half step (a very strong drive or a large sector) leaves them alone.
     Without it the eigendecompositions are dropped once the node factors
     are formed.
     """
@@ -364,7 +371,9 @@ def _cf4_gammas(params: ModelParams, t: float | np.ndarray, dt: float) -> tuple:
     return 2.0 * (_CF4_X2 * c1 + _CF4_X1 * c2), 2.0 * (_CF4_X1 * c1 + _CF4_X2 * c2)
 
 
-def _half_step_nodes(gammas: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _half_step_nodes(
+    gammas: np.ndarray, tau: float, max_nodes: int
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Drive strengths to diagonalize at, and the weights that give each half step from them.
 
     E(gamma) = exp(-i tau (h_s + gamma v_s)) is entire in gamma with
@@ -374,20 +383,22 @@ def _half_step_nodes(gammas: np.ndarray, tau: float) -> tuple[np.ndarray, np.nda
     2 (h tau / 2)^(d+1) / (d+1)! (the Hermite-Genocchi form of the
     remainder), and d is the smallest degree that takes this to NODE_TOL.
     Row j of the weights returned gives E(gammas[j]) = sum_k weights[j, k]
-    E(nodes[k]), by the barycentric formula.  When d+1 would reach the
-    number of distinct gammas, the nodes are those gammas and each row of
-    weights picks one, so a pass never diagonalizes more often than it has
-    distinct half steps.
+    E(nodes[k]), by the barycentric formula.  None when that needs more
+    than max_nodes nodes, or as many as there are distinct gammas (more
+    than one): interpolating would then diagonalize no less often than the
+    half steps themselves.
     """
-    distinct, index = np.unique(gammas, return_inverse=True)
-    lo, hi = distinct[0], distinct[-1]
+    # sorted without np.unique, which imports numpy.ma on first use
+    ordered = np.sort(gammas)
+    lo, hi = ordered[0], ordered[-1]
+    n_distinct = 1 + np.count_nonzero(np.diff(ordered))
     x = 0.5 * (hi - lo) * tau / 2.0
     d, bound = 0, 2.0 * x
-    while bound > NODE_TOL and d + 2 < len(distinct):
+    while bound > NODE_TOL and d + 2 < min(n_distinct, max_nodes + 1):
         d += 1
         bound *= x / (d + 1)
-    if bound > NODE_TOL:
-        return distinct, np.eye(len(distinct))[index]
+    if bound > NODE_TOL or d >= max_nodes:
+        return None
     theta = (2 * np.arange(d + 1) + 1) * np.pi / (2 * d + 2)
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
     diff = gammas[:, None] - nodes
@@ -460,14 +471,17 @@ def _propagate_sector(
     _half_step_nodes picks d+1 Chebyshev nodes on the range of their
     strengths, d the smallest degree whose interpolation bound
     2 (h tau / 2)^(d+1) / (d+1)! (h the range's half-width, ||v_s|| = 1 for
-    the drive) is at most NODE_TOL, or the strengths themselves when that
-    is no fewer.  One stacked real eigh gives the node factors
-    q diag(exp(-i tau w)) q^T, each given one Newton-Schulz polar step
-    (_node_factors), and every half step is the barycentric combination
-    sum_k l_k(gamma) E(node_k): one weights row times the flattened stack,
-    then one complex matmul to apply it.  At the presets' default drive
-    (drive_amp 0.2, drive_freq 4.63) that is 5 eigendecompositions for the
-    100 half steps of T/200, and 4 for the 200 of T/400.
+    the drive) is at most NODE_TOL.  One stacked real eigh gives the node
+    factors q diag(exp(-i tau w)) q^T, each given one Newton-Schulz polar
+    step (_node_factors), and every half step is the barycentric
+    combination sum_k l_k(gamma) E(node_k): one weights row times the
+    flattened stack, then one complex matmul to apply it.  At the presets'
+    default drive (drive_amp 0.2, drive_freq 4.63) that is 5
+    eigendecompositions for the 100 half steps of T/200, and 4 for the 200
+    of T/400.  When the bound needs as many nodes as the pass has distinct
+    strengths (a very strong drive), or a stack of node factors larger than
+    NODE_STACK_BYTES (a large sector), the pass instead diagonalizes each
+    half step as it applies it, one eigh and one factor at a time.
 
     The norm returned is ||c||.  The pass also records the unitarity defect
     d_r = ||P_r^H P_r - I||_F at each needed r, which bounds the 2-norm, so
@@ -479,7 +493,8 @@ def _propagate_sector(
     the periodicity the fold already assumes, so the nodes depend on
     (drive_amp, n_per) and, through the degree, on dt, and the nodes'
     (w, q) on (h_s, v_s, nodes) alone; factors, when given, keeps (w, q)
-    under the key (h_s, v_s, drive_amp, n_per, nodes) (see propagate).
+    under the key (h_s, v_s, nodes) (see propagate).  A pass that
+    diagonalizes each half step keeps nothing there.
     """
     dim = h_s.shape[0]
     if n_per % 2:
@@ -498,28 +513,36 @@ def _propagate_sector(
     grid = replace(params, drive_freq=2.0 * np.pi / n_per)
     gammas = np.stack(_cf4_gammas(grid, np.arange(n_mid), 1.0), axis=1).ravel()
     tau = 0.5 * dt
-    nodes, weights = _half_step_nodes(gammas, tau)
+    interpolated = _half_step_nodes(gammas, tau, NODE_STACK_BYTES // (16 * dim * dim))
 
     def node_eigh():
-        return np.linalg.eigh(h_s + nodes[:, None, None] * v_s)
+        return np.linalg.eigh(h_s + interpolated[0][:, None, None] * v_s)
 
-    if factors is not None:
-        key = (h_s.tobytes(), v_s.tobytes(), params.drive_amp, n_per, nodes.tobytes())
+    if interpolated is not None and factors is not None:
+        key = (h_s.tobytes(), v_s.tobytes(), interpolated[0].tobytes())
         if factors.get("key") != key:
             factors.clear()
             factors.update(key=key, eigh=node_eigh())
 
     def half_steps():
-        """E(a_0), E(b_0), E(a_1), ... of the pass, each a weights row times the node factors.
+        """E(a_0), E(b_0), E(a_1), ... of the pass, each formed when asked for.
 
-        Each is formed in one buffer, so it holds until the next is asked
-        for.  The node factors are formed when the pass asks for its first
-        half step and dropped when it closes the generator, as are their
-        eigendecompositions unless factors keeps them.
+        Interpolated, each is a weights row times the node factors, formed
+        in one buffer, so it holds until the next is asked for.  The node
+        factors are formed when the pass asks for its first half step and
+        dropped when it closes the generator, as are their
+        eigendecompositions unless factors keeps them.  Otherwise each half
+        step is the factor of its own eigh.
         """
+        if interpolated is None:
+            for gamma in gammas:
+                w, q = np.linalg.eigh(h_s + gamma * v_s)
+                yield (q * np.exp(-1j * tau * w)) @ q.T
+            return
+        weights = interpolated[1]
         e_flat = _node_factors(*(node_eigh() if factors is None else factors["eigh"]), tau)
         # float view of the flattened node factors, for real weights
-        e_flat = e_flat.reshape(len(nodes), -1).view(float)
+        e_flat = e_flat.reshape(len(e_flat), -1).view(float)
         e = np.empty(e_flat.shape[1])
         for l in weights:
             np.matmul(l, e_flat, out=e)

@@ -742,6 +742,29 @@ class TestArrayBound:
                                         make_space(n_max, 3))
         assert config.largest_array_bytes(cfg) == h.nbytes
 
+    def test_node_stack_is_held_to_its_budget(self, tmp_path, monkeypatch, eigh_calls):
+        # largest_array_bytes leaves out a propagation pass's stack of node
+        # factors, which the pass holds to NODE_STACK_BYTES.  A budget of 1 MiB
+        # fits convergence-report's 5 nodes on the n_max sector (61 states)
+        # but not on the 2*n_max one (121): that run diagonalizes each of its
+        # 100 half steps and reports what it does without a budget
+        from usc_rabi import config
+
+        assert dynamics.NODE_STACK_BYTES <= config.MAX_ARRAY_BYTES
+        cfg = build_config("convergence-report", {"output_path": str(tmp_path / "a.csv")})
+        want = run_preset(cfg).columns
+        stacks = []
+        node_factors = dynamics._node_factors
+        monkeypatch.setattr(dynamics, "_node_factors",
+                            lambda *args: stacks.append(node_factors(*args)) or stacks[-1])
+        monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", 1 << 20)
+        eigh_calls.clear()
+        got = run_preset(dataclasses.replace(cfg, output_path=str(tmp_path / "b.csv"))).columns
+        assert [stack.shape for stack in stacks] == [(5, 61, 61), (4, 61, 61)]
+        assert [c for c in eigh_calls if c[-2:] == (121, 121)] == [(121, 121)] * 100
+        for name, column in want.items():
+            assert np.max(np.abs(np.asarray(got[name]) - np.asarray(column))) <= 1e-11, name
+
     def test_bounds_the_sweep_stacks(self, tmp_path, monkeypatch):
         from usc_rabi import config
 

@@ -657,9 +657,11 @@ class TestHalfStepNodes:
             seen.update(h_s=h_s, v_s=v_s, tau=0.5 * dt)
             return sector(params, dt, h_s, v_s, *rest)
 
-        def spy_nodes(gammas, tau):
+        def spy_nodes(gammas, tau, max_nodes):
             seen["gammas"] = gammas
-            seen["nodes"], seen["weights"] = out = nodes_of(gammas, tau)
+            seen["interpolated"] = out = nodes_of(gammas, tau, max_nodes)
+            if out is not None:
+                seen["nodes"], seen["weights"] = out
             return out
 
         def spy_factors(*args):
@@ -673,8 +675,17 @@ class TestHalfStepNodes:
         params = _driven(base, amp, omega_p)
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=0.3 * period, dt=period / n_per)
-        propagate(params, make_space(n_max, 3), cfg, initial)
+        seen["args"] = (params, make_space(n_max, 3), cfg, initial)
+        seen["series"] = propagate(*seen["args"])
         return seen
+
+    @staticmethod
+    def _step_loop_gap(monkeypatch, seen) -> float:
+        """Largest gap between the pass's observables and the step loop's on the same run."""
+        monkeypatch.undo()
+        slow = _on_step_loop(monkeypatch, *seen["args"])
+        return max(np.max(np.abs(getattr(seen["series"], f) - getattr(slow, f)))
+                   for f in ("p_f1", "p_f3", "p_ground", "norm"))
 
     @staticmethod
     def _worst_gap(seen) -> float:
@@ -720,6 +731,44 @@ class TestHalfStepNodes:
         assert len(seen["gammas"]) == 26
         assert eigh_calls[-1] == (12, dim, dim)
         assert self._worst_gap(seen) <= 1e-14
+
+    @pytest.mark.parametrize("n_max", [4, 20])
+    def test_drive_too_strong_to_interpolate_diagonalizes_each_half_step(
+            self, small_setup, starts, monkeypatch, eigh_calls, n_max):
+        # Omega 1000 at T/50: the pass's 26 strengths span h = 520 either side
+        # of their middle and tau = 0.0136, so the bound needs all 26 as
+        # nodes; the pass then diagonalizes each half step as it applies it,
+        # and leaves a memo alone
+        base, _, _, omega_p = small_setup
+        seen = self._pass(monkeypatch, base, omega_p, 1000.0, 50, n_max, starts[n_max])
+        dim = seen["h_s"].shape[0]
+        assert len(np.unique(seen["gammas"])) == len(seen["gammas"]) == 26
+        assert seen["interpolated"] is None and "stack" not in seen
+        assert [c for c in eigh_calls if c[-2:] == (dim, dim)] == [(dim, dim)] * 26
+        factors = {"key": None}
+        propagate(*seen["args"], factors=factors)
+        assert factors == {"key": None}
+        assert self._step_loop_gap(monkeypatch, seen) <= 1e-12
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_node_stack_over_its_budget_diagonalizes_each_half_step(
+            self, small_setup, starts, monkeypatch, eigh_calls, short):
+        # the default drive at T/200 takes 5 nodes; with NODE_STACK_BYTES one
+        # byte short of their stack the pass makes one eigh per half step
+        base, _, _, omega_p = small_setup
+        dim = 31  # n_max 20: |g,even>, |e,odd>, |f,odd>
+        budget = 5 * 16 * dim * dim - short
+        monkeypatch.setattr(dynamics, "NODE_STACK_BYTES", budget)
+        seen = self._pass(monkeypatch, base, omega_p, 0.2, 200, 20, starts[20])
+        assert seen["h_s"].shape == (dim, dim)
+        sector = [c for c in eigh_calls if c[-2:] == (dim, dim)]
+        if short:
+            assert seen["interpolated"] is None and "stack" not in seen
+            assert sector == [(dim, dim)] * 100
+        else:
+            assert seen["stack"].nbytes == budget
+            assert sector == [(5, dim, dim)]
+        assert self._step_loop_gap(monkeypatch, seen) <= 1e-12
 
     def test_long_horizon_matches_step_loop(self, tmp_path, monkeypatch):
         # convergence-report's base run at its defaults (n_max 40, T/200, 104

@@ -51,7 +51,7 @@ from .rabi_core import (
     SpectrumResult,
     build_h_rabi,
     dressed_amplitude,
-    ground_level,
+    ground_levels,
     ground_state,
     parity_labels,
     parity_matrix,

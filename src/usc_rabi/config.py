@@ -181,6 +181,8 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
 
     if "Omega_list" in raw and preset != "fig3-evolve":
         raise ConfigError("Omega_list applies to the fig3-evolve preset only")
+    if "Omega_list" in raw and "Omega" in raw:
+        raise ConfigError("set Omega (one curve) or Omega_list, not both")
 
     cfg = ExperimentConfig(
         preset=preset, sweep=sweep, **{_KEYS[k][0]: v for k, v in raw.items()}

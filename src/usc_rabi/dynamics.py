@@ -125,8 +125,16 @@ class PropagationConfig:
 
 
 def step_count(t_end: float, dt: float) -> int:
-    """Steps of a run to t_end: t_end/dt rounded to the nearest whole step, at least one."""
-    return max(1, int(round(t_end / dt)))
+    """Steps of a run to t_end: t_end/dt rounded to the nearest whole step, at least one.
+
+    Raises ValueError when the count does not fit an int64, the dtype of the sample steps.
+    """
+    steps = t_end / dt
+    if not steps < 2.0**63:
+        raise ValueError(
+            f"t_end={t_end:.4g} is {steps:.4g} steps of dt={dt:.4g}, more than an int64 holds"
+        )
+    return max(1, int(round(steps)))
 
 
 def default_config(params: ModelParams, t_end: float, **overrides) -> PropagationConfig:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, effective_models, polaron, rabi_core
-from .config import ConfigError, ExperimentConfig
+from .config import MAX_ARRAY_BYTES, ConfigError, ExperimentConfig
 from .hilbert import SpaceDescriptor, make_space
 from .rabi_core import ModelParams
 
@@ -70,46 +70,51 @@ def _checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _require_gap(params: ModelParams, n_max: int, gap: float) -> None:
+def _require_gap(coupling: float, n_max: int, gap: float) -> None:
     """rabi_core.require_gap; a degenerate level is a config error naming lambda and n_max."""
     try:
         rabi_core.require_gap(float(gap))
     except ValueError as exc:
-        raise ConfigError(f"{exc} at lambda={params.coupling:g}, n_max={n_max}") from exc
+        raise ConfigError(f"{exc} at lambda={coupling:g}, n_max={n_max}") from exc
 
 
-def _ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
-    """rabi_core.ground_level, with its degenerate level as _require_gap's config error."""
-    psi, energy, gap = rabi_core.ground_levels(params.omega0, params.coupling, space)
-    _require_gap(params, space.n_max, gap)
-    return psi, float(energy)
+def _references(omega0: float, coupling, n_max: int, ground: tuple) -> dict:
+    """The 2*n_max ground pair (psi_0, E0, gap) of each coupling the guard leaves open.
+
+    coupling is one coupling or a 1-d array, and ground = (psi_0, E0) its
+    n_max pairs, shaped as rabi_core.ground_levels returns them.
+    rabi_core.certify_grounds settles the truncation guard from the n_max
+    pairs and two Sturm counts wherever its bounds on both moves are within
+    GUARD_TOL; the couplings it leaves open are solved at 2*n_max as one
+    stack (ground_levels).  Keyed by the open couplings' indices, 0 for one
+    coupling.
+    """
+    space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
+    bounds, _ = rabi_core.certify_grounds(omega0, coupling, space, ground, space2, GUARD_TOL)
+    open_ = np.flatnonzero(np.isnan(bounds))
+    refs = rabi_core.ground_levels(omega0, np.atleast_1d(coupling)[open_], space2)
+    return dict(zip(open_, zip(*refs)))
 
 
 def _guard_ground(
     params: ModelParams,
     n_max: int,
     ground: tuple[np.ndarray, float],
+    ref: tuple[np.ndarray, float, float],
     label: str = "",
     photons: tuple[int, ...] = (1,),
-    ground2: tuple[np.ndarray, float] | None = None,
 ) -> None:
     """Reject the n_max ground pair `ground` = (psi_0, E0) if it moves at 2*n_max.
 
-    Guards the ground energy and |c_n0| for every n in `photons` (by default
-    the single-virtual-photon amplitude) to 1e-8.  rabi_core.certify_ground
-    settles the guard from the n_max pair and two Sturm counts when its
-    bounds on both moves are within 1e-8; only otherwise is the 2*n_max
-    ground pair solved (ground_level) and compared, and a degenerate ground
-    level there is a config error.  A caller that has solved the 2*n_max
-    pair already passes it as ground2, which is then compared directly.
+    ref = (psi_0, E0, gap) is the 2*n_max ground pair (_references).  A
+    ground level degenerate there is a config error.  Otherwise the ground
+    energy and |c_n0| for every n in `photons` (by default the
+    single-virtual-photon amplitude) must each move by at most 1e-8.
     """
     psi, energy = ground
+    psi2, energy2, gap2 = ref
+    _require_gap(params.coupling, 2 * n_max, gap2)
     space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-    if ground2 is None:
-        if rabi_core.certify_ground(params, space, ground, space2, GUARD_TOL) is not None:
-            return
-        ground2 = _ground_level(params, space2)
-    psi2, energy2 = ground2
     d_energy = abs(energy - energy2)
     d_amps = {
         n: abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
@@ -129,10 +134,12 @@ def guarded_spectrum(
 ) -> rabi_core.SpectrumResult:
     """Diagonalize at n_max; reject if its ground pair moves at 2*n_max (_guard_ground).
 
-    A converged ground pair is certified without solving at 2*n_max.
+    A converged ground pair is certified without solving at 2*n_max (_references).
     """
     spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
-    _guard_ground(params, n_max, (spec.eigenvectors[:, 0], spec.ground_energy), photons=photons)
+    ground = (spec.eigenvectors[:, 0], spec.ground_energy)
+    for ref in _references(params.omega0, params.coupling, n_max, ground).values():
+        _guard_ground(params, n_max, ground, ref, photons=photons)
     return spec
 
 
@@ -141,9 +148,7 @@ class _Run:
     """What the driven runs of one preset share.
 
     params carries the preset drive amplitude and the resolved omega_p: the
-    config value, else the exact 1-photon resonance omega_f + 1 - E0.  ground2,
-    the (psi_0, E0) pair at 2*n_max, is kept only when the pair is solved
-    unguarded.
+    config value, else the exact 1-photon resonance omega_f + 1 - E0.
     """
 
     params: ModelParams
@@ -151,7 +156,6 @@ class _Run:
     pol: polaron.PolaronParams
     initial: np.ndarray
     space3: SpaceDescriptor
-    ground2: tuple[np.ndarray, float] | None = None
 
 
 def _resolve(
@@ -160,17 +164,15 @@ def _resolve(
     """Params, truncation-guarded spectrum, resonance, polaron frame and start state.
 
     drive_amp defaults to the config's Omega, else the preset's default.
-    photons None solves the n_max spectrum and the 2*n_max ground pair without
-    guarding them; the caller reports and judges the deltas itself.
+    photons None solves the n_max spectrum without guarding it; the caller
+    judges its truncation itself.
     """
     drive_amp = drive_amp or cfg.drive_amp or _DEFAULT_DRIVE_AMP[cfg.preset]
     params = ModelParams(
         omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f, drive_amp=drive_amp
     )
-    ground2 = None
     if photons is None:
         spec = rabi_core.solve_spectrum(params, make_space(cfg.n_max, 2))
-        ground2 = _ground_level(params, make_space(2 * cfg.n_max, 2))
     else:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
     omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec.ground_energy)
@@ -181,7 +183,6 @@ def _resolve(
         pol=_checked(polaron.solve_xi_eta, params),
         initial=dynamics.embed_ground_state(psi0),
         space3=make_space(cfg.n_max, 3),
-        ground2=ground2,
     )
 
 
@@ -197,7 +198,9 @@ def _prop_config(
 
     snap=True rounds the horizon to whole steps, at least one, and the caller
     records the snapped t_end; otherwise a horizon shorter than one step is a
-    config error, since the run would end far past it.
+    config error, since the run would end far past it.  So is a grid whose
+    steps, counted without allocating them, do not fit an int64, or whose
+    samples would take an array over MAX_ARRAY_BYTES.
     """
     horizon = cfg.t_end or t_end
     if not np.isfinite(horizon):
@@ -214,8 +217,16 @@ def _prop_config(
         norm_tol=cfg.norm_tol,
     )
     _checked(dynamics.check_dt, params, prop.dt)  # the bound propagate enforces
+    n_steps = _checked(dynamics.step_count, prop.t_end, prop.dt)
+    # propagate's (3, samples) complex array of the sampled amplitudes
+    size = 48 * (-(-n_steps // prop.sample_every) + 1)
+    if size > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{n_steps} steps sampled every {prop.sample_every} need a {size / 2**20:.4g} MiB "
+            f"array, over the {MAX_ARRAY_BYTES >> 20} MiB limit; set a larger sample_every"
+        )
     if snap:
-        return replace(prop, t_end=dynamics.step_count(prop.t_end, prop.dt) * prop.dt)
+        return replace(prop, t_end=n_steps * prop.dt)
     if prop.t_end < prop.dt:
         raise ConfigError(
             f"t_end={prop.t_end:.4g} is shorter than one step (dt={prop.dt:.4g}); "
@@ -234,12 +245,12 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
 
     One row per coupling grid point, read off the ground pair alone.  The grid
     is solved in chunks of _sweep_chunk couplings: rabi_core.ground_levels
-    stacks a chunk's n_max chains, rabi_core.certify_grounds guards them all
-    at once, and the points it leaves undecided get their 2*n_max pairs as one
-    more stack.  Every pair is bit for bit the one-coupling ground_level's.
-    The points are then judged in grid order, so the first failure is the one
-    a point-by-point sweep meets: a ground level degenerate at n_max or
-    2*n_max is a config error that names the coupling and the truncation, a
+    stacks a chunk's n_max chains, and _references certifies them all at
+    once and gives the points it leaves open their 2*n_max pairs as one more
+    stack.  Every pair is bit for bit the one-coupling one.  The points are
+    then judged in grid order, so the first failure is the one a
+    point-by-point sweep meets: a ground level degenerate at n_max or 2*n_max
+    is a config error that names the coupling and the truncation, a
     non-converged point aborts the sweep (exit 2), and so does an unsolved
     polaron fixed point (config error).
     """
@@ -247,26 +258,20 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     cols: dict = {name: [] for name in (
         "lambda", "c10_exact", "c10_approx", "xi", "eta", "lambda0_exact", "e_approx",
     )}
-    space, space2 = make_space(cfg.n_max, 2), make_space(2 * cfg.n_max, 2)
+    space = make_space(cfg.n_max, 2)
     c10 = space.index("e", 1)
     chunk = _sweep_chunk(cfg.n_max)
     for lo in range(0, grid.size, chunk):
         lams = grid[lo : lo + chunk]
         psi, energy, gap = rabi_core.ground_levels(cfg.omega0, lams, space)
-        bounds, _ = rabi_core.certify_grounds(
-            cfg.omega0, lams, space, (psi, energy), space2, GUARD_TOL)
-        # the 2*n_max pairs of the points the certificate leaves open, by index
-        open_ = np.flatnonzero(np.isnan(bounds))
-        refs = dict(zip(open_, zip(*rabi_core.ground_levels(cfg.omega0, lams[open_], space2))))
+        refs = _references(cfg.omega0, lams, cfg.n_max, (psi, energy))
         for k, lam in enumerate(lams):
             params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-            _require_gap(params, cfg.n_max, gap[k])
+            _require_gap(params.coupling, cfg.n_max, gap[k])
             if k in refs:
-                psi2, energy2, gap2 = refs[k]
-                _require_gap(params, space2.n_max, gap2)
                 try:
-                    _guard_ground(params, cfg.n_max, (psi[k], energy[k]),
-                                  label=f"lambda={lam:g}", ground2=(psi2, energy2))
+                    _guard_ground(params, cfg.n_max, (psi[k], energy[k]), refs[k],
+                                  label=f"lambda={lam:g}")
                 except ConvergenceGuardError as exc:
                     raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
             pol = _checked(polaron.solve_xi_eta, params)
@@ -306,10 +311,11 @@ def _resolved_header(cfg: ExperimentConfig, run: _Run) -> dict:
 def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
     """Transfer probability to |f,1> versus time for a list of drive strengths.
 
+    The list is Omega_list, else the one amplitude Omega, else 0.2, 0.4, 0.8.
     All runs share the drive frequency (exact resonance unless omega_p is
     given) and the sampling grid, so the curves land in one table.
     """
-    omegas = cfg.omega_list or _DEFAULT_OMEGA_LIST
+    omegas = cfg.omega_list or ((cfg.drive_amp,) if cfg.drive_amp else _DEFAULT_OMEGA_LIST)
     run = _resolve(cfg, drive_amp=min(omegas))
     slowest = effective_models.model_from_eigenbasis(run.params, run.spec)
     t_end_default = 1.15 * 2.0 * effective_models.half_period(slowest)
@@ -392,8 +398,12 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     above 1e-6 under either refinement.  Pure computation; idempotent across
     runs.
     """
+    # the 2*n_max ground pair is propagated too, so it is solved, not certified
+    psi0_2n, lambda0_2n, gap_2n = rabi_core.ground_levels(
+        cfg.omega0, cfg.coupling, make_space(2 * cfg.n_max, 2))
+    _require_gap(cfg.coupling, 2 * cfg.n_max, gap_2n)
     run = _resolve(cfg, photons=None)
-    spec, (psi0_2n, lambda0_2n) = run.spec, run.ground2
+    spec = run.spec
     model = effective_models.model_from_eigenbasis(run.params, spec)
     # the horizon snapped to the base grid, so refined runs sample identical times
     base_prop = _prop_config(

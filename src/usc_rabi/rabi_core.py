@@ -16,24 +16,22 @@ each sector is a real symmetric tridiagonal matrix with diagonal
 n*omega_c -+ omega0/2 (g: -, e: +) and off-diagonal coupling*sqrt(n) between
 sites n-1 and n (Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107,
 100401 (2011)).  solve_spectrum diagonalizes both chains densely (numpy's
-eigh).  ground_level solves for the ground pair only: psi_0 and E0 from the
-+1 chain, and a Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 386
-(1967)) of the -1 chain's levels below E0 + GROUND_GAP_TOL for the gap; only
-when that count is not zero does it diagonalize the -1 chain as well.
-fig2-sweep's n_max pair needs no more, since the vacuum Rabi frequency is set
-by the ground-state amplitudes c_n0.  certify_ground bounds how far that pair
-moves at a larger truncation without solving there: truncation drops one
-bond of the chain, so the n_max pair is a trial pair of the larger chain
-whose residual is known, and two Sturm counts turn the residual into bounds
-on E0 and every |c_n0|.  The truncation guard solves its 2*n_max reference
-with ground_level only when those bounds do not settle it.
-ground_levels and certify_grounds do the same for a whole array of couplings
-at once, and ground_level and certify_ground are their one-coupling case:
-the chains of all couplings are one stack, solved by eigh STACK_BYTES at a
-time (numpy solves a stack one matrix at a time with the same LAPACK call,
-so every pair is bit for bit the one-coupling one), and each Sturm count runs
-its recurrence site by site on arrays over the couplings.  fig2-sweep solves
-its grid this way, in chunks.
+eigh).  ground_levels solves for the ground pair only, at one coupling or
+a whole array of them: psi_0 and E0 from the +1 chain, and a Sturm count
+(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)) of the -1 chain's
+levels below E0 + GROUND_GAP_TOL for the gap; only where that count is not
+zero does it diagonalize the -1 chain as well.  fig2-sweep's n_max pairs
+need no more, since the vacuum Rabi frequency is set by the ground-state
+amplitudes c_n0.  certify_grounds bounds how far those pairs move at a
+larger truncation without solving there: truncation drops one bond of the
+chain, so an n_max pair is a trial pair of the larger chain whose residual
+is known, and two Sturm counts turn the residual into bounds on E0 and
+every |c_n0|.  The truncation guard solves its 2*n_max reference with
+ground_levels only where those bounds do not settle it.  The chains of all
+couplings are one stack, solved by eigh STACK_BYTES at a time (numpy solves
+a stack one matrix at a time with the same LAPACK call, so every pair is
+bit for bit the one-coupling one), and each Sturm count runs its recurrence
+site by site on arrays over the couplings.
 build_h_rabi is the full-space matrix the dynamics and the polaron frame work
 with.
 """
@@ -330,20 +328,6 @@ def _lowest(
     return w, psi
 
 
-def ground_level(params: ModelParams, space: SpaceDescriptor) -> tuple[np.ndarray, float]:
-    """(psi_0, E0) as ground_state(solve_spectrum(params, space)) gives them, bit for bit.
-
-    ground_levels at the one coupling params.coupling: one eigh of the +1
-    chain, a Sturm count of the -1 chain, and its eigh only when that count
-    is not zero.  Same phase convention and same degenerate-level ValueError
-    as ground_state.  The truncation guard calls it at 2*n_max only when
-    certify_ground cannot settle the guard from the n_max pair.
-    """
-    psi, energy, gap = ground_levels(params.omega0, params.coupling, space)
-    require_gap(float(gap))
-    return psi, float(energy)
-
-
 def certify_grounds(
     omega0: float,
     coupling,
@@ -352,13 +336,35 @@ def certify_grounds(
     space2: SpaceDescriptor,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """certify_ground at every coupling of `coupling`, one coupling or a 1-d array.
+    """Bound how far the ground pairs `ground` = (psi_0, E0) at `space` move at `space2`.
 
-    ground = (psi_0, E0) with the shapes ground_levels returns.  Returns the
-    energy and amplitude bounds, shape coupling.shape, NaN where the
-    certificate does not settle the guard.  The residual, rho and delta are
-    array arithmetic over the couplings, and the two Sturm counts, run once
-    any coupling's bounds are within tol, one recurrence on arrays over them.
+    coupling is one coupling or a 1-d array, and ground has the shapes
+    ground_levels returns for it.  space2 is a larger truncation.  psi_0 is
+    a parity eigenstate, as ground_levels and solve_spectrum give it.  Its
+    +1 chain amplitudes v, padded with zeros, are a trial vector for the
+    space2 +1 chain T2, whose leading block is the space chain T.  With
+    sigma = v^T T v / v^T v, the residual of T2 is that of T plus one entry,
+    coupling*sqrt(n_max+1)*v[n_max]: the bond into the first dropped site.
+    rho is its norm over |v|, plus 2(n+2)*eps*(|T|_inf + that bond + |sigma|)
+    for the rounding in forming it (n = n_max + 1 sites).  Some level of T2
+    lies within rho of sigma, so two Sturm counts (_count_below) settle the
+    rest:
+      - T2 has exactly one level below sigma + rho + delta, with
+        delta = max(2*rho/tol, GROUND_GAP_TOL) (2, not sqrt(2), leaves room
+        under tol for |1 - |v|| and rounding).  That level is its lowest,
+        mu_1, within rho of sigma, and every other level lies delta or more
+        above it, so the angle between v and mu_1's eigenvector u has
+        sin <= rho/delta (Davis-Kahan) and |v/|v| -+ u| <= sqrt(2)*rho/delta;
+      - the space2 -1 chain has no level below sigma + rho + GROUND_GAP_TOL,
+        so mu_1 is the ground level at space2 and is not degenerate.
+    Returns the energy and amplitude bounds, shape coupling.shape:
+    |E0 - mu_1| <= |E0 - sigma| + rho, and every |<e,n|psi_0>| moves by at
+    most sqrt(2)*rho/delta + |1 - |v||.  They are NaN where the counts do
+    not hold, where a bound exceeds tol, or where psi_0 lies in the -1
+    chain; ground_levels at space2 then decides.  The residual, rho and
+    delta are array arithmetic over the couplings, and the two Sturm counts,
+    run once any coupling's bounds are within tol, one recurrence on arrays
+    over them.
     """
     psi, energy = ground
     diag, off, rows = _chain_bands(omega0, coupling, space, 1)
@@ -393,44 +399,6 @@ def certify_grounds(
         )
         ok = ok & (below[..., 0] == 1) & (below[..., 1] == 0)
     return np.where(ok, d_energy, np.nan), np.where(ok, d_amp, np.nan)
-
-
-def certify_ground(
-    params: ModelParams,
-    space: SpaceDescriptor,
-    ground: tuple[np.ndarray, float],
-    space2: SpaceDescriptor,
-    tol: float,
-) -> tuple[float, float] | None:
-    """Bound how far the ground pair `ground` = (psi_0, E0) at `space` moves at `space2`.
-
-    space2 is a larger truncation.  psi_0 is a parity eigenstate, as
-    ground_level and solve_spectrum give it.  Its +1 chain amplitudes v,
-    padded with zeros, are a trial vector for the space2 +1 chain T2, whose
-    leading block is the space chain T.  With sigma = v^T T v / v^T v, the
-    residual of T2 is that of T plus one entry, coupling*sqrt(n_max+1)*v[n_max]:
-    the bond into the first dropped site.  rho is its norm over |v|, plus
-    2(n+2)*eps*(|T|_inf + that bond + |sigma|) for the rounding in forming it
-    (n = n_max + 1 sites).  Some level of T2 lies within rho of sigma, so two
-    Sturm counts (_count_below) settle the rest:
-      - T2 has exactly one level below sigma + rho + delta, with
-        delta = max(2*rho/tol, GROUND_GAP_TOL) (2, not sqrt(2), leaves room
-        under tol for |1 - |v|| and rounding).  That level is its lowest,
-        mu_1, within rho of sigma, and every other level lies delta or more
-        above it, so the angle between v and mu_1's eigenvector u has
-        sin <= rho/delta (Davis-Kahan) and |v/|v| -+ u| <= sqrt(2)*rho/delta;
-      - the space2 -1 chain has no level below sigma + rho + GROUND_GAP_TOL,
-        so mu_1 is the ground level at space2 and is not degenerate.
-    Returns (energy bound, amplitude bound): |E0 - mu_1| <= |E0 - sigma| + rho,
-    and every |<e,n|psi_0>| moves by at most sqrt(2)*rho/delta + |1 - |v||.
-    Returns None when the counts do not hold, when a bound exceeds tol, or
-    when psi_0 lies in the -1 chain; ground_level at space2 then decides.
-    This is certify_grounds at the one coupling params.coupling.
-    """
-    d_energy, d_amp = certify_grounds(params.omega0, params.coupling, space, ground, space2, tol)
-    if np.isnan(d_energy):
-        return None
-    return float(d_energy), float(d_amp)
 
 
 def dressed_amplitude(spectrum: SpectrumResult, n: int) -> complex:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usc_rabi import ModelParams, dressed_amplitude, dynamics, make_space, polaron
-from usc_rabi import ground_level, ground_state, presets, rabi_core, solve_spectrum
+from usc_rabi import ground_state, presets, rabi_core, solve_spectrum
 from usc_rabi.cli import main
 from usc_rabi.config import (
     ConfigError,
@@ -168,6 +168,19 @@ class TestCliRuns:
             assert c10 == dressed_amplitude(spec, 1).real
             assert energy == spec.ground_energy
 
+    def test_fig3_evolve_runs_the_one_omega(self, tmp_path, capsys):
+        # Omega alone is the one curve Omega_list = Omega gives, not the default list
+        one, listed, out = tmp_path / "one.csv", tmp_path / "list.csv", tmp_path / "x.csv"
+        for path, key in ((one, "Omega = 0.5"), (listed, "Omega_list = 0.5")):
+            cfg = _write(tmp_path, "f3.cfg", f"n_max = 8\nt_end = 3\n{key}\n")
+            assert main(["fig3-evolve", "--config", str(cfg), "--out", str(path)]) == 0
+        assert _read_columns(one)[0] == ["t", "p_f1_Omega0.5", "p_analytic_Omega0.5",
+                                         "norm_Omega0.5"]
+        assert one.read_bytes() == listed.read_bytes()
+        cfg = _write(tmp_path, "both.cfg", "n_max = 8\nOmega = 0.5\nOmega_list = 0.2,0.4\n")
+        assert main(["fig3-evolve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "set Omega (one curve) or Omega_list, not both" in capsys.readouterr().err
+
     def test_fig3_evolve_small(self, tmp_path):
         cfg = _write(
             tmp_path, "f3.cfg",
@@ -313,6 +326,27 @@ class TestExitCodes:
         assert main([preset, "--config", str(cfg), "--out", out, "--dt", repr(dt)]) == 0
         too_coarse = 1.01 * 2.0 * np.pi / (50 * 3.1)
         assert main([preset, "--config", str(cfg), "--out", out, "--dt", repr(too_coarse)]) == 3
+
+    @pytest.mark.parametrize("preset, keys, message", [
+        (preset, keys, message)
+        for keys, message in [
+            ("dt = 1e-300", "steps of dt=1e-300, more than an int64 holds"),
+            ("t_end = 1e300", "t_end=1e+300 is 1.4"),
+            ("omega_p = 1e20", "steps of dt=3.142e-22, more than an int64 holds"),
+            ("omega_f = 1e300", "steps of dt=3.142e-302, more than an int64 holds"),
+            ("dt = 1e-300\nt_end = 1e300", "t_end=1e+300 is inf steps of dt=1e-300"),
+            ("sample_every = 1\nt_end = 1e12", " steps sampled every 1 need a "),
+        ]
+        for preset in ["fig3-evolve", "resonance-scan", "convergence-report",
+                       "two-state-compare"]
+        # resonance-scan takes each point's omega_p from its scan, not from the key
+        if not (preset == "resonance-scan" and keys.startswith("omega_p"))
+    ])
+    def test_grid_too_large_is_config_error(self, tmp_path, capsys, preset, keys, message):
+        # the steps and samples are counted before anything is allocated
+        cfg = _write(tmp_path, "grid.cfg", f"n_max = 8\n{keys}\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 3
+        assert message in capsys.readouterr().err
 
     def test_horizon_under_half_a_step_runs(self, tmp_path):
         # the default step T/200 is 2.01 at omega_p = 1/64, so the report
@@ -503,7 +537,8 @@ class TestExitCodes:
 def _guard_outcome(params, n_max, ground, photons):
     """None if the truncation guard passes, else its exception type and message."""
     try:
-        presets._guard_ground(params, n_max, ground, label="grid", photons=photons)
+        for ref in presets._references(params.omega0, params.coupling, n_max, ground).values():
+            presets._guard_ground(params, n_max, ground, ref, label="grid", photons=photons)
     except (ConvergenceGuardError, ConfigError) as exc:
         return type(exc), str(exc)
     return None
@@ -517,7 +552,7 @@ def _n_max_ground(lam, n_max):
 
 
 class TestTruncationCertificate:
-    """rabi_core.certify_ground against the exact 2*n_max ground pair, the oracle."""
+    """rabi_core.certify_grounds against the exact 2*n_max ground pair, the oracle."""
 
     @pytest.mark.parametrize("photons", [(1,), (1, 3)])
     @pytest.mark.parametrize("n_max", [4, 8, 20, 40, 80])
@@ -525,14 +560,16 @@ class TestTruncationCertificate:
     def test_guard_decides_as_the_exact_reference(self, monkeypatch, lam, n_max, photons):
         params, ground = _n_max_ground(lam, n_max)
         space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-        bounds = rabi_core.certify_ground(params, space, ground, space2, GUARD_TOL)
+        bounds = rabi_core.certify_grounds(params.omega0, lam, space, ground, space2, GUARD_TOL)
         outcome = _guard_outcome(params, n_max, ground, photons)
-        monkeypatch.setattr(rabi_core, "certify_ground", lambda *args: None)
+        # no certificate: every coupling is left to the exact reference
+        monkeypatch.setattr(rabi_core, "certify_grounds", lambda omega0, coupling, *args: (
+            np.full(np.shape(coupling), np.nan),) * 2)
         assert _guard_outcome(params, n_max, ground, photons) == outcome
-        if bounds is None:
+        if np.isnan(bounds[0]):
             return
         psi, energy = ground
-        psi2, energy2 = ground_level(params, space2)
+        psi2, energy2, _ = rabi_core.ground_levels(params.omega0, lam, space2)
         moves = [abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
                  for n in range(n_max + 1)]
         assert abs(energy - energy2) <= bounds[0] <= GUARD_TOL
@@ -544,16 +581,17 @@ class TestTruncationCertificate:
         space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
         psi, energy, _ = rabi_core.ground_levels(1.0, grid, space)
         stacked = rabi_core.certify_grounds(1.0, grid, space, (psi, energy), space2, GUARD_TOL)
-        single = [rabi_core.certify_ground(ModelParams(omega0=1.0, coupling=lam), space,
-                                           (psi[k], energy[k]), space2, GUARD_TOL)
+        single = [rabi_core.certify_grounds(1.0, lam, space, (psi[k], energy[k]), space2,
+                                            GUARD_TOL)
                   for k, lam in enumerate(grid)]
         # the same decisions; the bounds agree to rounding, since a sum over a
         # stack's rows need not add in the same order as over one vector
-        assert [np.isnan(e) for e in stacked[0]] == [b is None for b in single]
+        open_ = [bool(np.isnan(b[0])) for b in single]
+        assert [np.isnan(e) for e in stacked[0]] == open_
         for k, bounds in enumerate(single):
-            if bounds is not None:
+            if not open_[k]:
                 assert np.allclose([stacked[0][k], stacked[1][k]], bounds, rtol=0, atol=1e-14)
-        assert any(b is None for b in single) and any(b is not None for b in single)
+        assert any(open_) and not all(open_)
 
     def test_excited_level_is_not_certified(self):
         # the +1 chain's second level as the trial pair: its residual is as
@@ -563,8 +601,8 @@ class TestTruncationCertificate:
         spec = solve_spectrum(params, space)
         k = int(np.flatnonzero(spec.parities > 0)[1])
         excited = (spec.eigenvectors[:, k], float(spec.eigenvalues[k]))
-        assert rabi_core.certify_ground(params, space, excited, make_space(80, 2),
-                                        GUARD_TOL) is None
+        assert np.isnan(rabi_core.certify_grounds(1.0, 0.5, space, excited, make_space(80, 2),
+                                                  GUARD_TOL)).all()
 
     @pytest.mark.parametrize("lam, n_max, photons, error", [
         (0.8, 4, (1,), ConvergenceGuardError),  # E0 and c10 move: exit 2
@@ -576,16 +614,17 @@ class TestTruncationCertificate:
     def test_undecided_guard_solves_the_reference(self, eigh_calls, lam, n_max, photons,
                                                   error):
         params, ground = _n_max_ground(lam, n_max)
-        assert rabi_core.certify_ground(params, make_space(n_max, 2), ground,
-                                        make_space(2 * n_max, 2), GUARD_TOL) is None
+        assert np.isnan(rabi_core.certify_grounds(1.0, lam, make_space(n_max, 2), ground,
+                                                  make_space(2 * n_max, 2), GUARD_TOL)).all()
         eigh_calls.clear()
         with pytest.raises(error):
-            presets._guard_ground(params, n_max, ground, photons=photons)
-        assert (2 * n_max + 1, 2 * n_max + 1) in eigh_calls
+            presets.guarded_spectrum(params, n_max, photons=photons)
+        # the one open coupling's reference, solved as a stack of one
+        assert (1, 2 * n_max + 1, 2 * n_max + 1) in eigh_calls
 
 
 def _pointwise_sweep(cfg):
-    """fig2-sweep one coupling at a time from the one-coupling guard and ground pair.
+    """fig2-sweep one coupling at a time: the guard and ground pair at a scalar coupling.
 
     Returns the rows, or the type and message of the first error.
     """
@@ -594,9 +633,13 @@ def _pointwise_sweep(cfg):
     try:
         for lam in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps):
             params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-            psi, energy = presets._ground_level(params, space)
+            psi, energy, gap = rabi_core.ground_levels(cfg.omega0, float(lam), space)
+            presets._require_gap(params.coupling, cfg.n_max, gap)
+            refs = presets._references(cfg.omega0, float(lam), cfg.n_max, (psi, energy))
             try:
-                presets._guard_ground(params, cfg.n_max, (psi, energy), label=f"lambda={lam:g}")
+                for ref in refs.values():
+                    presets._guard_ground(params, cfg.n_max, (psi, energy), ref,
+                                          label=f"lambda={lam:g}")
             except ConvergenceGuardError as exc:
                 raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
             pol = presets._checked(polaron.solve_xi_eta, params)

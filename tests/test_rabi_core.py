@@ -8,7 +8,7 @@ from usc_rabi import (
     SpectrumResult,
     build_h_rabi,
     dressed_amplitude,
-    ground_level,
+    ground_levels,
     ground_state,
     make_space,
     parity_labels,
@@ -99,14 +99,14 @@ class TestGroundState:
 
 
 class TestGroundLevel:
-    """ground_level against ground_state(solve_spectrum(...)), the full-spectrum oracle."""
+    """ground_levels at one coupling against ground_state(solve_spectrum(...)), the oracle."""
 
     @pytest.mark.parametrize("n_max", [8, 40, 80])
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.8, 1.5])
     def test_matches_full_spectrum(self, lam, n_max):
         params = ModelParams(omega0=1.0, coupling=lam)
         space = make_space(n_max, 2)
-        psi0, energy = ground_level(params, space)
+        psi0, energy, _ = ground_levels(1.0, lam, space)
         want_psi, want_energy = ground_state(solve_spectrum(params, space))
         assert abs(energy - want_energy) < 1e-12
         assert np.max(np.abs(psi0 - want_psi)) < 1e-10
@@ -117,7 +117,7 @@ class TestGroundLevel:
         space = make_space(4, 2)
         spec = solve_spectrum(params, space)
         assert spec.parities[0] == -1
-        psi0, energy = ground_level(params, space)
+        psi0, energy, _ = ground_levels(1.0, 3.0, space)
         want_psi, want_energy = ground_state(spec)
         assert abs(energy - want_energy) < 1e-12
         assert np.max(np.abs(psi0 - want_psi)) < 1e-10
@@ -129,23 +129,21 @@ class TestGroundLevel:
         message = "ground level is degenerate within tolerance"
         with pytest.raises(ValueError, match=message):
             ground_state(solve_spectrum(params, space))
+        _, _, gap = ground_levels(1.0, 4.0, space)
         with pytest.raises(ValueError, match=message):
-            ground_level(params, space)
+            rabi_core.require_gap(float(gap))
 
     @pytest.mark.parametrize("lam, n_max, solves", [(0.5, 40, 1), (3.0, 4, 2), (4.0, 80, 2)])
     def test_solves_the_odd_chain_only_when_it_counts_a_level(self, eigh_calls, lam, n_max,
                                                               solves):
         # the -1 chain is diagonalized only when it lies lower (lambda 3 at
-        # n_max 4) or within the gap tolerance (lambda 4, which then raises)
-        try:
-            ground_level(ModelParams(omega0=1.0, coupling=lam), make_space(n_max, 2))
-        except ValueError:
-            pass
+        # n_max 4) or within the gap tolerance (lambda 4, degenerate there)
+        ground_levels(1.0, lam, make_space(n_max, 2))
         assert len(eigh_calls) == solves
 
     def test_rejects_three_level_space(self):
         with pytest.raises(ValueError):
-            ground_level(ModelParams(omega0=1.0, coupling=0.2), make_space(10, 3))
+            ground_levels(1.0, 0.2, make_space(10, 3))
 
     @pytest.mark.parametrize("extra", [None, 0, 1])
     @pytest.mark.parametrize("n_max", [4, 40])

@@ -12,6 +12,8 @@ from .dynamics import (
     NormDriftError,
     PropagationConfig,
     RabiFeatures,
+    Sector,
+    StateOffSectorError,
     TimeSeries,
     build_h_full,
     default_config,

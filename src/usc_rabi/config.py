@@ -200,6 +200,11 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
         raise ConfigError("Omega_list entries must be positive")
     if cfg.sample_every is not None and cfg.sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {cfg.sample_every}")
+    if preset == "resonance-scan" and cfg.drive_freq is not None:
+        raise ConfigError(
+            "resonance-scan takes each point's omega_p from its sweep; "
+            "remove the omega_p key (an omega_p sweep scans absolute frequencies)"
+        )
     size = largest_array_bytes(cfg)
     if size > MAX_ARRAY_BYTES:
         raise ConfigError(
@@ -222,7 +227,8 @@ def largest_array_bytes(cfg: ExperimentConfig) -> int:
     whose number grows with the drive strength too.  That one is not
     counted here; the pass holds it to dynamics.NODE_STACK_BYTES, under
     MAX_ARRAY_BYTES, and diagonalizes its half steps one at a time where it
-    would be larger.
+    would be larger.  The pass reads its samples off a table it holds to
+    dynamics.READ_BYTES the same way.
     """
     n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
     chain2 = 8 * n2 * n2

@@ -20,9 +20,14 @@ propagate runs it on the driven parity sector {|g,even>, |e,odd>, |f,odd>}.
 The Rabi coupling conserves parity and the drive couples |e,n> only to
 |f,n>, so a state that starts in the sector never leaves it; the embedded
 ground state starts there, and a start state with weight outside it is a
-ValueError.  The sector blocks of the static part and of the drive are cut
-once from the full-space builders, which checks that they are real and keep
-the sector closed, and one of two integrators steps them:
+StateOffSectorError (a ValueError).  A Sector holds what a drive-free model
+on one space gives every propagation of it: the sector mask, the real
+sector blocks of the static part and of the drive, cut once from the
+full-space builders and checked real, closed on the sector and symmetric
+under S (below), the probe rows <f,1| and <f,3|, and the memo of node
+eigendecompositions (below).  A caller that propagates one model at
+several drives builds one and passes it to each call; without one,
+propagate builds its own.  One of two integrators steps the blocks:
 
 - folded period: when the drive is periodic (drive_freq > 0) and dt divides
   its period T = 2*pi/drive_freq to 1e-12 relative (the default dt = T/200
@@ -39,7 +44,8 @@ the sector closed, and one of two integrators steps them:
   steps the identity through it.  Each sample is P_r applied to a segment
   start, forward, or backward by conjugation from the next one, with r at
   most that quarter period, so it is read off a few probe rows of P_r
-  recorded by the pass.  Each half-step factor exp(-i (dt/2)(H_static +
+  recorded by the pass: one product of those rows with the segment starts
+  gives every sample.  Each half-step factor exp(-i (dt/2)(H_static +
   gamma V)) is entire in the drive strength gamma, so the pass
   diagonalizes at a few Chebyshev nodes in gamma, as many as an
   interpolation bound needs to hold every factor to 1e-17, and forms each
@@ -51,15 +57,15 @@ the sector closed, and one of two integrators steps them:
   as it is applied instead.  Each step's drive strengths
   come from its phase on the period grid, not from drive_freq, so
   propagations at several drive frequencies with the same steps per period
-  can share their node eigendecompositions through the factors argument of
-  propagate.  The norm reported is that of the segment start, and the
-  drift guard adds the recorded unitarity defect of P_r, so it bounds the
-  true drift from above.
+  share their node eigendecompositions through the Sector's memo.  The
+  norm reported is that of the segment start, and the drift guard adds the
+  recorded unitarity defect of P_r, so it bounds the true drift from above.
 - step loop: a step off the period grid, or no drive frequency, steps the
   sector one CF4 step at a time, applying each exponential to the state by
-  an adaptive Taylor expansion exact to machine precision at the step sizes
-  used here.  It makes no eigendecomposition, so it is the oracle the folded
-  period is tested against.
+  a Taylor polynomial (Horner's rule) of the degree that bounds its
+  remainder by 1.1e-16 at the step's norm bound.  It makes no
+  eigendecomposition, so it is the oracle the folded period is tested
+  against.
 
 Both read the same probe rows (<f,1|, <f,3| and the initial state) and pass
 the same norm-drift guard.
@@ -78,8 +84,9 @@ from . import hilbert, rabi_core
 from .hilbert import SpaceDescriptor
 from .rabi_core import ModelParams
 
-_TAYLOR_MAX_TERMS = 40
+# largest ||H|| dt of one Taylor substep, and the bound on its remainder
 _TAYLOR_THETA = 0.5
+_TAYLOR_TOL = 1.1e-16
 
 # Gauss-Legendre nodes and the commutator-free 4th-order Magnus weights
 _GAUSS_C1 = 0.5 - np.sqrt(3.0) / 6.0
@@ -97,10 +104,16 @@ PERIOD_GRID_RTOL = 1e-12
 NODE_TOL = 1e-17
 # largest stack of node factors a folded pass interpolates its half steps from
 NODE_STACK_BYTES = 1 << 25
+# largest table of probe overlaps a folded pass reads its samples from at once
+READ_BYTES = 1 << 20
 
 
 class NormDriftError(RuntimeError):
     """State norm drifted beyond the configured tolerance during propagation."""
+
+
+class StateOffSectorError(ValueError):
+    """The start state of a propagation has weight outside the driven parity sector."""
 
 
 @dataclass(frozen=True)
@@ -208,6 +221,71 @@ def drive_operator(space: SpaceDescriptor) -> np.ndarray:
     return hilbert.atomic_op(space, "f", "e") + hilbert.atomic_op(space, "e", "f")
 
 
+def _drive_free(params: ModelParams) -> tuple[float, float, float]:
+    """What static_hamiltonian reads of params: (omega0, coupling, omega_f)."""
+    return params.omega0, params.coupling, params.omega_f
+
+
+class Sector:
+    """The driven parity sector {|g,even>, |e,odd>, |f,odd>} of one drive-free model.
+
+    Built once from the drive-free part of params (omega0, coupling,
+    omega_f; the drive is ignored) and the 3-level space, it serves every
+    propagate call of that model on that space, whatever its drive or grid:
+
+    mask    the sector on the full space (g and e keep their two-level
+            indices, and the drive |f><e| + |e><f| gives f the parity of e)
+    h_s     real sector block of static_hamiltonian
+    v_s     real sector block of drive_operator
+    s_sign  diagonal of S = diag(+1 on g, e; -1 on f) on the sector
+    probe   rows <f,1| and <f,3| on the sector (the second zero below n_max 3)
+
+    A ValueError when the blocks are not real, couple the sector to the
+    rest of the space, or break S h_s S = h_s and S v_s S = -v_s (the f
+    level coupled to g or e other than by the drive).  It also keeps the
+    real eigendecompositions of the sector Hamiltonian at the drive
+    strengths (nodes) of the last folded pass that interpolated its half
+    steps (node_eigh).
+    """
+
+    def __init__(self, params: ModelParams, space: SpaceDescriptor):
+        if space.atom_levels != 3:
+            raise ValueError("propagation runs on the 3-level space")
+        self.model = _drive_free(params)
+        self.space = space
+        even = np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) > 0
+        self.mask = np.concatenate([even, even[space.n_photon :]])
+        # one at a time: two full-space matrices alive together set the peak memory
+        self.h_s = self._block(static_hamiltonian(params, space))
+        self.v_s = self._block(drive_operator(space))
+        self.s_sign = np.where(np.flatnonzero(self.mask) < 2 * space.n_photon, 1.0, -1.0)
+        # S X S = flip * X
+        flip = self.s_sign[:, None] * self.s_sign
+        if np.any(self.h_s[flip < 0]) or np.any(self.v_s[flip > 0]):
+            raise ValueError("the f level must couple to g and e through the drive alone")
+        pos = np.cumsum(self.mask) - 1
+        self.probe = np.zeros((2, len(self.h_s)))
+        self.probe[0, pos[space.index("f", 1)]] = 1.0
+        if space.n_max >= 3:
+            self.probe[1, pos[space.index("f", 3)]] = 1.0
+        self._nodes = self._eigh = None
+
+    def _block(self, m: np.ndarray) -> np.ndarray:
+        if np.any(m.imag) or np.any(m[np.ix_(self.mask, ~self.mask)]):
+            raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
+        return m[np.ix_(self.mask, self.mask)].real
+
+    def node_eigh(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, q) of h_s + gamma v_s at each drive strength gamma of nodes, as one stacked eigh.
+
+        Kept until a call with other nodes replaces it.
+        """
+        if not np.array_equal(nodes, self._nodes):
+            self._eigh = np.linalg.eigh(self.h_s + nodes[:, None, None] * self.v_s)
+            self._nodes = nodes
+        return self._eigh
+
+
 def build_h_full(params: ModelParams, space: SpaceDescriptor, t: float) -> np.ndarray:
     """Full Hamiltonian at time t, drive amplitude drive_amp*cos(drive_freq*t)."""
     return static_hamiltonian(params, space) + (
@@ -237,21 +315,29 @@ def resonance_frequency(params: ModelParams, ground_energy: float, n: int = 1) -
     return params.omega_f + n - ground_energy
 
 
-def _apply_exponential(h_matvec, dt: float, psi: np.ndarray, n_sub: int) -> np.ndarray:
-    """psi <- exp(-i * H * dt) psi by adaptive Taylor summation.
+def _taylor_order(theta: float) -> int:
+    """Smallest degree m whose Taylor remainder of exp on a matrix of norm theta is <= _TAYLOR_TOL.
 
-    H is fixed across the substeps, so substepping is exact; terms are added
-    until they fall below 1e-16 of the accumulated result.
+    The remainder is at most theta^(m+1)/(m+1)! / (1 - theta/(m+2)).
+    """
+    m, term = 0, theta
+    while term > _TAYLOR_TOL * (1.0 - theta / (m + 2)):
+        m += 1
+        term *= theta / (m + 1)
+    return m
+
+
+def _apply_exponential(h_matvec, dt: float, psi: np.ndarray, n_sub: int, order: int) -> np.ndarray:
+    """psi <- exp(-i * H * dt) psi in n_sub substeps, each a degree-`order` Taylor sum by Horner.
+
+    H is fixed across the substeps, so substepping is exact; the caller
+    takes the order from its bound on ||H|| dt / n_sub (_taylor_order).
     """
     h = dt / n_sub
     for _ in range(n_sub):
-        acc = psi.copy()
-        term = psi
-        for j in range(1, _TAYLOR_MAX_TERMS + 1):
-            term = (-1j * h / j) * h_matvec(term)
-            acc += term
-            if np.linalg.norm(term) <= 1e-16 * np.linalg.norm(acc):
-                break
+        acc = psi
+        for j in range(order, 0, -1):
+            acc = psi + (-1j * h / j) * h_matvec(acc)
         psi = acc
     return psi
 
@@ -261,39 +347,37 @@ def propagate(
     space: SpaceDescriptor,
     config: PropagationConfig,
     initial: np.ndarray,
-    factors: dict | None = None,
+    sector: Sector | None = None,
 ) -> TimeSeries:
     """Propagate the driven Schroedinger equation and sample observables.
 
     The initial state must be normalized on the 3-level space (usually the
     embedded exact dressed ground state) and lie in the driven parity sector
-    {|g,even>, |e,odd>, |f,odd>}: weight outside it raises ValueError naming
-    the largest amplitude there.  Samples are taken every config.sample_every
-    steps plus the final step; only the observables of TimeSeries are kept,
-    not the states.  Aborts with NormDriftError naming the earliest sample
-    whose norm leaves 1 +- norm_tol.
+    {|g,even>, |e,odd>, |f,odd>}: weight outside it raises
+    StateOffSectorError naming the largest amplitude there.  Samples are
+    taken every config.sample_every steps plus the final step; only the
+    observables of TimeSeries are kept, not the states.  Aborts with
+    NormDriftError naming the earliest sample whose norm leaves 1 +- norm_tol.
 
-    The sector blocks of the static part and the drive, the probe rows and
-    the sample steps are built once.  With a drive with drive_freq > 0 and a
-    step that divides the drive period to PERIOD_GRID_RTOL, the sector runs
-    one folded drive period at a time (_propagate_sector); otherwise it runs
-    CF4 step by step (_step_loop).
-
-    factors is an optional caller-owned dict in which the folded period keeps
-    the real eigendecompositions (w, q) of the sector Hamiltonian at the few
-    drive strengths (nodes) its half-step factors are interpolated from,
-    keyed by the sector matrices and the nodes.  On the period grid the
-    nodes depend on drive_amp, the steps per period and the node count
-    alone, not on drive_freq, so calls that share those reuse them; the
-    node count follows from dt and is the same across a scan on one grid
-    unless its dt range crosses a degree of the interpolation bound.  A
-    call with other nodes replaces them, and a call that diagonalizes each
-    half step (a very strong drive or a large sector) leaves them alone.
-    Without it the eigendecompositions are dropped once the node factors
-    are formed.
+    sector is the Sector of params' drive-free model on space; one built
+    for another omega0, coupling, omega_f or space is a ValueError.  Calls
+    that share one share its blocks and probe rows and, on the period grid,
+    the node eigendecompositions of their folded passes: the nodes depend
+    on drive_amp, the steps per period and the node count alone, not on
+    drive_freq, and the node count follows from dt, so a scan on one grid
+    diagonalizes once unless its dt range crosses a degree of the
+    interpolation bound.  Without one, propagate builds its own.  With a
+    drive with drive_freq > 0 and a step that divides the drive period to
+    PERIOD_GRID_RTOL, the sector runs one folded drive period at a time
+    (_propagate_sector); otherwise it runs CF4 step by step (_step_loop).
     """
-    if space.atom_levels != 3:
-        raise ValueError("propagation runs on the 3-level space")
+    if sector is None:
+        sector = Sector(params, space)
+    elif sector.space != space or sector.model != _drive_free(params):
+        raise ValueError(
+            f"the sector was built for (omega0, coupling, omega_f) = {sector.model} on "
+            f"{sector.space}, not {_drive_free(params)} on {space}"
+        )
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (space.dim,):
         raise ValueError(f"initial state has dim {initial.shape}, expected ({space.dim},)")
@@ -301,48 +385,29 @@ def propagate(
         raise ValueError("initial state is not normalized")
     check_dt(params, config.dt)
 
-    # g and e keep their two-level indices in the 3-level space, and the
-    # drive |f><e| + |e><f| gives f the parity of e
-    even = np.diag(rabi_core.parity_matrix(hilbert.make_space(space.n_max, 2))) > 0
-    sector = np.concatenate([even, even[space.n_photon :]])
-    outside = np.where(sector, 0.0, np.abs(initial))
+    outside = np.where(sector.mask, 0.0, np.abs(initial))
     if np.any(outside):
         k = int(np.argmax(outside))
         level, n = space.level_photon(k)
-        raise ValueError(
+        raise StateOffSectorError(
             "initial state has weight outside the driven parity sector "
             f"{{|g,even>, |e,odd>, |f,odd>}}: amplitude {outside[k]:.3g} on |{level},{n}>"
         )
 
-    def sector_block(m: np.ndarray) -> np.ndarray:
-        if np.any(m.imag) or np.any(m[np.ix_(sector, ~sector)]):
-            raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
-        return m[np.ix_(sector, sector)].real
-
-    # one at a time: two full-space matrices alive together set the peak memory
-    h_s = sector_block(static_hamiltonian(params, space))
-    v_s = sector_block(drive_operator(space))
-
-    psi0 = initial[sector]
-    pos = np.cumsum(sector) - 1
-    probe = np.zeros((3, len(psi0)), dtype=complex)
-    probe[0, pos[space.index("f", 1)]] = 1.0
-    if space.n_max >= 3:
-        probe[1, pos[space.index("f", 3)]] = 1.0
-    probe[2] = psi0.conj()
-
+    psi0 = initial[sector.mask]
+    probe = np.vstack([sector.probe, psi0.conj()])
     n_steps = step_count(config.t_end, config.dt)
     # sorted and distinct without np.unique, which imports numpy.ma on first use
     marks = np.append(np.arange(0, n_steps, config.sample_every), n_steps)
     n_per = _steps_per_period(params, config.dt)
     if n_per:
-        # S = diag(+1 on g, e; -1 on f) on the sector
-        s_sign = np.where(np.flatnonzero(sector) < 2 * space.n_photon, 1.0, -1.0)
         amps, norms, slack = _propagate_sector(
-            params, config.dt, h_s, v_s, psi0, probe, marks, s_sign, n_per, factors
+            params, config.dt, sector, psi0, probe, marks, n_per
         )
     else:
-        amps, norms, slack = _step_loop(params, config.dt, h_s, v_s, psi0, probe, marks)
+        amps, norms, slack = _step_loop(
+            params, config.dt, sector.h_s, sector.v_s, psi0, probe, marks
+        )
 
     times = marks * config.dt
     drift = np.flatnonzero(np.abs(norms - 1.0) + slack > config.norm_tol)
@@ -436,16 +501,13 @@ def _node_factors(w: np.ndarray, q: np.ndarray, tau: float) -> np.ndarray:
 def _propagate_sector(
     params: ModelParams,
     dt: float,
-    h_s: np.ndarray,
-    v_s: np.ndarray,
+    sector: Sector,
     psi0: np.ndarray,
     probe: np.ndarray,
     marks: np.ndarray,
-    s_sign: np.ndarray,
     n_per: int,
-    factors: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CF4 on the sector blocks h_s, v_s, one folded drive period at a time.
+    """CF4 on the blocks h_s, v_s of sector, one folded drive period at a time.
 
     Step r of every period applies the same CF4 factor F(r) = E(b_r) E(a_r),
     with E(gamma) = exp(-i tau (h_s + gamma v_s)), tau = dt/2, the half step at
@@ -455,8 +517,8 @@ def _propagate_sector(
     - time reversal: the Gauss nodes sum to 1 and the drive is even in t, so
       F(n_per-1-r) = F(r)^T;
     - half-period shift (n_per even): the drive changes sign over T/2, and
-      S = diag(s_sign) commutes with the static part and anticommutes with
-      the drive, so F(r + n_per/2) = S F(r) S.
+      S = diag(sector.s_sign) commutes with the static part and anticommutes
+      with the drive, so F(r + n_per/2) = S F(r) S.
 
     Take segments of L = n_per/2 steps and M = S (L = n_per and M = 1 when
     n_per is odd).  Then P_L = M P_ceil(L/2)^T M P_floor(L/2), and, each P
@@ -471,9 +533,11 @@ def _propagate_sector(
     needs, the probe rows W P_r, with W the rows <f,1|, <f,3|, psi0^H of
     propagate and psi0^H S, psi0^T and psi0^T S (the transposed rows serve
     the backward samples, read by conjugation; M leaves |<f,n|...>| alone).
-    Each sample is then read off as one row product with its start column,
-    grouped by r.  The amplitudes returned at the sample steps marks are the
-    probe overlaps up to a phase.
+    The segment starts that hold a sample are stacked, each with its
+    conjugate, as the columns of C, and every sample is one entry of the
+    table (W P_r)_r C: one product, read by a flat gather, in blocks of
+    segment starts that keep the table under READ_BYTES.  The amplitudes
+    returned at the sample steps marks are the probe overlaps up to a phase.
 
     The pass's 2 ceil(L/2) half steps are not diagonalized one by one.
     _half_step_nodes picks d+1 Chebyshev nodes on the range of their
@@ -500,19 +564,16 @@ def _propagate_sector(
     The drive strengths of step r come from its grid phases 2*pi*(r + c_k)/n_per,
     the periodicity the fold already assumes, so the nodes depend on
     (drive_amp, n_per) and, through the degree, on dt, and the nodes'
-    (w, q) on (h_s, v_s, nodes) alone; factors, when given, keeps (w, q)
-    under the key (h_s, v_s, nodes) (see propagate).  A pass that
-    diagonalizes each half step keeps nothing there.
+    (w, q) on the sector and the nodes alone: sector.node_eigh keeps them
+    for the next pass with the same nodes.  A pass that diagonalizes each
+    half step leaves that memo alone.
     """
-    dim = h_s.shape[0]
+    h_s, v_s = sector.h_s, sector.v_s
+    dim = len(h_s)
     if n_per % 2:
         n_seg, m_sign = n_per, np.ones(dim)
     else:
-        # S X S = flip * X
-        flip = s_sign[:, None] * s_sign
-        if np.any(h_s[flip < 0]) or np.any(v_s[flip > 0]):
-            raise ValueError("the f level must couple to g and e through the drive alone")
-        n_seg, m_sign = n_per // 2, s_sign
+        n_seg, m_sign = n_per // 2, sector.s_sign
     n_mid = (n_seg + 1) // 2
 
     # step r on a clock that ticks once per step: the Gauss-node phases are
@@ -523,32 +584,23 @@ def _propagate_sector(
     tau = 0.5 * dt
     interpolated = _half_step_nodes(gammas, tau, NODE_STACK_BYTES // (16 * dim * dim))
 
-    def node_eigh():
-        return np.linalg.eigh(h_s + interpolated[0][:, None, None] * v_s)
-
-    if interpolated is not None and factors is not None:
-        key = (h_s.tobytes(), v_s.tobytes(), interpolated[0].tobytes())
-        if factors.get("key") != key:
-            factors.clear()
-            factors.update(key=key, eigh=node_eigh())
-
     def half_steps():
         """E(a_0), E(b_0), E(a_1), ... of the pass, each formed when asked for.
 
         Interpolated, each is a weights row times the node factors, formed
         in one buffer, so it holds until the next is asked for.  The node
         factors are formed when the pass asks for its first half step and
-        dropped when it closes the generator, as are their
-        eigendecompositions unless factors keeps them.  Otherwise each half
-        step is the factor of its own eigh.
+        dropped when it closes the generator; the sector keeps their
+        eigendecompositions.  Otherwise each half step is the factor of its
+        own eigh.
         """
         if interpolated is None:
             for gamma in gammas:
                 w, q = np.linalg.eigh(h_s + gamma * v_s)
                 yield (q * np.exp(-1j * tau * w)) @ q.T
             return
-        weights = interpolated[1]
-        e_flat = _node_factors(*(node_eigh() if factors is None else factors["eigh"]), tau)
+        nodes, weights = interpolated
+        e_flat = _node_factors(*sector.node_eigh(nodes), tau)
         # float view of the flattened node factors, for real weights
         e_flat = e_flat.reshape(len(e_flat), -1).view(float)
         e = np.empty(e_flat.shape[1])
@@ -563,7 +615,6 @@ def _propagate_sector(
     back = s > n_mid
     base = seg + back
     at = np.where(back, n_seg - s, s)
-    keys, column = np.unique(2 * base + back, return_inverse=True)
 
     ground = probe[2]
     probe = np.vstack([probe, ground * m_sign, ground.conj(), ground.conj() * m_sign])
@@ -592,24 +643,34 @@ def _propagate_sector(
         p_lo = p
     seg_map = (p.T * m_sign) @ p_lo
 
-    cols = np.empty((dim, len(keys)), dtype=complex)
+    # base never decreases along marks: phis[k] is phi_{starts[k]}, the k-th
+    # segment start that holds a sample, and sample j reads phis[which[j]]
+    first = np.r_[True, base[1:] > base[:-1]]
+    which = np.cumsum(first) - 1
+    starts = base[first]
+    phis = np.empty((len(starts), dim), dtype=complex)
     phi, i = psi0, 0
-    for j, key in enumerate(keys):
-        for _ in range(key // 2 - i):
+    for k, start in enumerate(starts.tolist()):
+        for _ in range(start - i):
             phi = seg_map @ phi
-        i = key // 2
-        cols[:, j] = phi.conj() if key % 2 else phi
+        phis[k], i = phi, start
 
+    # a sample's rows in the table: <f,1| and <f,3| of its r, and the ground
+    # overlap's psi0^H or psi0^T, times S for odd base; its column is
+    # 2 which + back
+    top = len(probe) * slot[at]
+    row = np.stack([top, top + 1, top + 2 + 2 * back + base % 2])
+    rows = rows.reshape(-1, dim)
     amps = np.empty((3, len(marks)), dtype=complex)
-    # probe row of the ground overlap: psi0^H or psi0^T, times S for odd base
-    ground_row = 2 + 2 * back + base % 2
-    for r in np.flatnonzero(needed):
-        hit = np.flatnonzero(at == r)
-        v = rows[slot[r]] @ cols[:, column[hit]]
-        amps[:2, hit] = v[:2]
-        amps[2, hit] = v[ground_row[hit], np.arange(hit.size)]
+    # segment starts per block, each two table columns of len(rows) entries
+    per = max(1, READ_BYTES // (32 * len(rows)))
+    for lo in range(0, len(starts), per):
+        block = phis[lo : lo + per].T
+        table = rows @ np.stack([block, block.conj()], axis=2).reshape(dim, -1)
+        j = slice(*np.searchsorted(which, [lo, lo + per]))
+        amps[:, j] = table.ravel()[row[:, j] * table.shape[1] + 2 * (which[j] - lo) + back[j]]
 
-    norms = np.linalg.norm(cols, axis=0)[column]
+    norms = np.linalg.norm(phis, axis=1)[which]
     return amps, norms, defect[at] * norms
 
 
@@ -628,9 +689,12 @@ def _step_loop(
     tested against.  Returns the probe amplitudes and the state norm at the
     sample steps marks, and zero slack.
     """
-    # spectral-norm bound for the Taylor substep count of a half-step factor
-    h_norm = float(np.linalg.norm(h_s, 2)) + abs(params.drive_amp)
+    # spectral-norm bound on the Hamiltonian of a half-step factor, each
+    # drive strength being at most 2 (x2 - x1) drive_amp: its substeps of
+    # norm at most _TAYLOR_THETA take the Taylor degree their bound needs
+    h_norm = float(np.linalg.norm(h_s, 2)) + 2.0 * (_CF4_X2 - _CF4_X1) * abs(params.drive_amp)
     n_sub = max(1, ceil(h_norm * (dt / 2.0) / _TAYLOR_THETA))
+    order = _taylor_order(h_norm * (dt / 2.0) / n_sub)
     h_c = h_s.astype(complex)
 
     amps = np.empty((len(probe), len(marks)), dtype=complex)
@@ -639,7 +703,9 @@ def _step_loop(
     for j, mark in enumerate(marks):
         for k in range(done, mark):
             for gamma in _cf4_gammas(params, k * dt, dt):
-                psi = _apply_exponential((h_c + gamma * v_s).__matmul__, dt / 2.0, psi, n_sub)
+                psi = _apply_exponential(
+                    (h_c + gamma * v_s).__matmul__, dt / 2.0, psi, n_sub, order
+                )
         done = mark
         amps[:, j] = probe @ psi
         norms[j] = np.linalg.norm(psi)

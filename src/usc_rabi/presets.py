@@ -92,6 +92,8 @@ def _references(omega0: float, coupling, n_max: int, ground: tuple) -> dict:
     space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
     bounds, _ = rabi_core.certify_grounds(omega0, coupling, space, ground, space2, GUARD_TOL)
     open_ = np.flatnonzero(np.isnan(bounds))
+    if not open_.size:
+        return {}
     refs = rabi_core.ground_levels(omega0, np.atleast_1d(coupling)[open_], space2)
     return dict(zip(open_, zip(*refs)))
 
@@ -217,14 +219,7 @@ def _prop_config(
         norm_tol=cfg.norm_tol,
     )
     _checked(dynamics.check_dt, params, prop.dt)  # the bound propagate enforces
-    n_steps = _checked(dynamics.step_count, prop.t_end, prop.dt)
-    # propagate's (3, samples) complex array of the sampled amplitudes
-    size = 48 * (-(-n_steps // prop.sample_every) + 1)
-    if size > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"{n_steps} steps sampled every {prop.sample_every} need a {size / 2**20:.4g} MiB "
-            f"array, over the {MAX_ARRAY_BYTES >> 20} MiB limit; set a larger sample_every"
-        )
+    n_steps = _grid_steps(prop)
     if snap:
         return replace(prop, t_end=n_steps * prop.dt)
     if prop.t_end < prop.dt:
@@ -233,6 +228,23 @@ def _prop_config(
             "set a longer t_end or a smaller dt"
         )
     return prop
+
+
+def _grid_steps(prop: dynamics.PropagationConfig) -> int:
+    """Steps of prop's grid, counted without allocating them.
+
+    A config error when they do not fit an int64, or when their samples
+    would take an array over MAX_ARRAY_BYTES.
+    """
+    n_steps = _checked(dynamics.step_count, prop.t_end, prop.dt)
+    # propagate's (3, samples) complex array of the sampled amplitudes
+    size = 48 * (-(-n_steps // prop.sample_every) + 1)
+    if size > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{n_steps} steps sampled every {prop.sample_every} need a {size / 2**20:.4g} MiB "
+            f"array, over the {MAX_ARRAY_BYTES >> 20} MiB limit; set a larger sample_every"
+        )
+    return n_steps
 
 
 def _sweep_chunk(n_max: int) -> int:
@@ -313,7 +325,8 @@ def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
 
     The list is Omega_list, else the one amplitude Omega, else 0.2, 0.4, 0.8.
     All runs share the drive frequency (exact resonance unless omega_p is
-    given) and the sampling grid, so the curves land in one table.
+    given), the sampling grid and one dynamics.Sector, so the curves land in
+    one table.
     """
     omegas = cfg.omega_list or ((cfg.drive_amp,) if cfg.drive_amp else _DEFAULT_OMEGA_LIST)
     run = _resolve(cfg, drive_amp=min(omegas))
@@ -323,11 +336,12 @@ def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
     cols: dict = {}
     provenance = _resolved_header(cfg, run)
     provenance["omega_p"] = run.params.drive_freq
+    sector = dynamics.Sector(run.params, run.space3)
     prop = None
     for om in omegas:
         params = replace(run.params, drive_amp=om)
         prop = _prop_config(cfg, params, t_end_default)
-        series = dynamics.propagate(params, run.space3, prop, run.initial)
+        series = dynamics.propagate(params, run.space3, prop, run.initial, sector=sector)
         model = effective_models.model_from_eigenbasis(params, run.spec)
         tag = f"{om:g}"
         if "t" not in cols:
@@ -349,7 +363,7 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
     With the default `delta_omega_p` sweep the offsets are applied around each
     predicted channel frequency; parity forbids the 2-photon channel, so no
     peak appears in that window.  An `omega_p` sweep scans an absolute range
-    instead.
+    instead.  Every point propagates on one dynamics.Sector.
     """
     if cfg.n_max < 3:
         raise ConfigError(f"resonance-scan reads |f,3> and needs n_max >= 3, got {cfg.n_max}")
@@ -370,12 +384,12 @@ def run_resonance_scan(cfg: ExperimentConfig) -> PresetResult:
 
     # on the default grid every point has the same steps per drive period, so
     # all share one set of node eigendecompositions (see dynamics.propagate)
-    factors: dict = {}
+    sector = dynamics.Sector(p, run.space3)
     cols: dict = {"omega_p": [], "max_p_f1": [], "max_p_f3": []}
     for omega_p, t_end in points:
         params = replace(p, drive_freq=omega_p)
         prop = _prop_config(cfg, params, t_end)
-        series = dynamics.propagate(params, run.space3, prop, run.initial, factors=factors)
+        series = dynamics.propagate(params, run.space3, prop, run.initial, sector=sector)
         cols["omega_p"].append(omega_p)
         cols["max_p_f1"].append(float(series.p_f1.max()))
         cols["max_p_f3"].append(float(series.p_f3.max()))
@@ -395,8 +409,9 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
 
     Writes its CSV, then raises ConvergenceGuardError when the ground energy
     moves above 1e-8 under truncation doubling or the peak transfer moves
-    above 1e-6 under either refinement.  Pure computation; idempotent across
-    runs.
+    above 1e-6 under either refinement.  Both grids are checked before
+    anything is propagated, and the base and halved-step runs share one
+    dynamics.Sector.  Pure computation; idempotent across runs.
     """
     # the 2*n_max ground pair is propagated too, so it is solved, not certified
     psi0_2n, lambda0_2n, gap_2n = rabi_core.ground_levels(
@@ -409,25 +424,25 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     base_prop = _prop_config(
         cfg, run.params, 1.15 * effective_models.half_period(model), snap=True
     )
+    half_prop = replace(base_prop, dt=0.5 * base_prop.dt, sample_every=2 * base_prop.sample_every)
+    _grid_steps(half_prop)
 
-    def peak(space, initial, dt_scale: float) -> tuple[float, float]:
-        prop = replace(
-            base_prop, dt=base_prop.dt * dt_scale,
-            sample_every=max(1, int(round(base_prop.sample_every / dt_scale))),
-        )
+    def peak(sector, initial, prop) -> float:
         try:
-            series = dynamics.propagate(run.params, space, prop, initial)
-        except ValueError as exc:
+            series = dynamics.propagate(run.params, sector.space, prop, initial, sector=sector)
+        except dynamics.StateOffSectorError as exc:
             # the exact ground level lies in the driven sector's +1 chain; a
             # truncation too coarse for the coupling can put it in the -1 chain
             raise ConvergenceGuardError(
-                f"truncation n_max={space.n_max} not converged: {exc}"
+                f"truncation n_max={sector.space.n_max} not converged: {exc}"
             ) from exc
-        return float(series.p_f1.max()), prop.dt
+        return float(series.p_f1.max())
 
-    p_base, dt_base = peak(run.space3, run.initial, 1.0)
-    p_2n, _ = peak(make_space(2 * cfg.n_max, 3), dynamics.embed_ground_state(psi0_2n), 1.0)
-    p_half, dt_half = peak(run.space3, run.initial, 0.5)
+    sector = dynamics.Sector(run.params, run.space3)
+    p_base = peak(sector, run.initial, base_prop)
+    p_2n = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
+                dynamics.embed_ground_state(psi0_2n), base_prop)
+    p_half = peak(sector, run.initial, half_prop)
 
     d_lambda0 = abs(spec.ground_energy - lambda0_2n)
     d_p_nmax = abs(p_2n - p_base)
@@ -435,7 +450,7 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
 
     cols = {
         "n_max": [cfg.n_max, 2 * cfg.n_max, cfg.n_max],
-        "dt": [dt_base, dt_base, dt_half],
+        "dt": [base_prop.dt, base_prop.dt, half_prop.dt],
         "lambda0": [spec.ground_energy, lambda0_2n, spec.ground_energy],
         "max_p_f1": [p_base, p_2n, p_half],
     }

@@ -348,6 +348,27 @@ class TestExitCodes:
         assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 3
         assert message in capsys.readouterr().err
 
+    def test_refined_grid_too_large_is_config_error(self, tmp_path, capsys):
+        # 2^62.5 base steps fit an int64 and the 2^63.5 of the dt/2 run do
+        # not: the report checks both grids before it propagates anything
+        cfg = _write(tmp_path, "half.cfg", f"n_max = 8\ndt = 0.01\nt_end = {0.01 * 2**62.5!r}\n")
+        out = tmp_path / "half.csv"
+        assert main(["convergence-report", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "steps of dt=0.005, more than an int64 holds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep", [
+        "",  # the default delta_omega_p sweep
+        "sweep_variable = omega_p\nsweep_start = 4.5\nsweep_stop = 4.7\nsweep_steps = 2\n",
+    ], ids=["delta_omega_p", "omega_p"])
+    def test_scan_refuses_omega_p(self, tmp_path, capsys, sweep):
+        # every scan point sets its own drive frequency, so the key would be ignored
+        cfg = _write(tmp_path, "wp.cfg", f"n_max = 8\nt_end = 3\nomega_p = 1e20\n{sweep}")
+        assert main(["resonance-scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "wp.csv")]) == 3
+        assert "resonance-scan takes each point's omega_p from its sweep" in (
+            capsys.readouterr().err)
+
     def test_horizon_under_half_a_step_runs(self, tmp_path):
         # the default step T/200 is 2.01 at omega_p = 1/64, so the report
         # snaps t_end = 1 to one step instead of to zero
@@ -603,6 +624,16 @@ class TestTruncationCertificate:
         excited = (spec.eigenvectors[:, k], float(spec.eigenvalues[k]))
         assert np.isnan(rabi_core.certify_grounds(1.0, 0.5, space, excited, make_space(80, 2),
                                                   GUARD_TOL)).all()
+
+    def test_settled_guard_solves_nothing_at_2n_max(self, monkeypatch):
+        # the certificate settles lambda 0.5 at n_max 40, so no 2*n_max
+        # ground pair is solved, not even for an empty array of couplings
+        calls = []
+        levels = rabi_core.ground_levels
+        monkeypatch.setattr(rabi_core, "ground_levels",
+                            lambda *args: calls.append(args) or levels(*args))
+        presets.guarded_spectrum(ModelParams(omega0=1.0, coupling=0.5), 40, photons=(1, 3))
+        assert calls == []
 
     @pytest.mark.parametrize("lam, n_max, photons, error", [
         (0.8, 4, (1,), ConvergenceGuardError),  # E0 and c10 move: exit 2

@@ -1,4 +1,6 @@
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from usc_rabi import (
     solve_spectrum,
 )
 from usc_rabi import dynamics
+from usc_rabi.presets import ConvergenceGuardError
 from usc_rabi.dynamics import TimeSeries
 from conftest import OMEGA_P_APPROX, OMEGA_P_EXACT
 
@@ -451,12 +454,12 @@ class TestSectorFloquet:
         # bound 2 (h tau / 2)^(d+1) / (d+1)! first reaches NODE_TOL at d = 4
         base, _, initial, omega_p = small_setup
         space = make_space(N_SMALL, 3)
-        factors: dict = {}
+        sector = dynamics.Sector(base, space)
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         for wp in (omega_p - 0.05, omega_p, omega_p + 1.0):
             driven = _driven(base, 0.2, wp)
             cfg = default_config(driven, t_end=3.0)
-            shared = _fields(propagate(driven, space, cfg, initial, factors=factors))
+            shared = _fields(propagate(driven, space, cfg, initial, sector=sector))
             alone = _fields(propagate(driven, space, cfg, initial))
             assert all(np.array_equal(shared[f], alone[f]) for f in alone)
         # one stack of 5 nodes for the shared calls, one per unshared call
@@ -490,8 +493,9 @@ class TestSectorFloquet:
         assert sector == [(5, 13, 13)]
 
     def test_reused_factors_give_the_unshared_result(self, small_setup, monkeypatch):
-        # one memo across calls that change each part of its key, and back:
-        # every call rebuilds what it needs and matches a call without one
+        # one sector per model and space, across calls that change the drive
+        # and the grid, and back: every call rebuilds what it needs and
+        # matches a call without one
         base, _, initial, omega_p = small_setup
         period = 2.0 * np.pi / omega_p
         static = dynamics.static_hamiltonian
@@ -503,7 +507,7 @@ class TestSectorFloquet:
             (0.3, 202, 8, True),          # the static Hamiltonian
             (0.2, 200, N_SMALL, False),   # back to the first key
         ]
-        factors: dict = {}
+        sectors: dict = {}
         monkeypatch.setattr(dynamics, "_step_loop", _refuse)
         for amp, n_per, n_max, tilted in cases:
             params = _driven(base, amp, omega_p)
@@ -516,9 +520,70 @@ class TestSectorFloquet:
                 monkeypatch.setattr(dynamics, "static_hamiltonian", static)
             start = initial if n_max == N_SMALL else _embedded_ground(base, n_max)
             cfg = PropagationConfig(t_end=2.3 * period, dt=period / n_per, sample_every=4)
-            shared = _fields(propagate(params, space, cfg, start, factors=factors))
+            if (n_max, tilted) not in sectors:
+                sectors[n_max, tilted] = dynamics.Sector(params, space)
+            shared = _fields(propagate(params, space, cfg, start, sector=sectors[n_max, tilted]))
             alone = _fields(propagate(params, space, cfg, start))
             assert all(np.array_equal(shared[f], alone[f]) for f in alone), (amp, n_per, n_max)
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega0", 1.1), ("coupling", 0.4), ("omega_f", 3.1), ("n_max", N_SMALL - 2)])
+    def test_rejects_a_sector_of_another_model(self, small_setup, field, value):
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.2, omega_p)
+        space = make_space(N_SMALL, 3)
+        cfg = default_config(params, t_end=1.0)
+        if field == "n_max":
+            other = dynamics.Sector(base, make_space(value, 3))
+        else:
+            other = dynamics.Sector(replace(base, **{field: value}), space)
+        with pytest.raises(ValueError, match="the sector was built for "):
+            propagate(params, space, cfg, initial, sector=other)
+        # the drive is not part of the model
+        same = dynamics.Sector(_driven(base, 0.7, 1.0), space)
+        assert np.array_equal(propagate(params, space, cfg, initial, sector=same).p_f1,
+                              propagate(params, space, cfg, initial).p_f1)
+
+    @pytest.mark.parametrize("preset, text, propagations, sectors", [
+        # nine points
+        ("resonance-scan", "n_max = 8\nOmega = 0.4\nt_end = 3\nsweep_variable = delta_omega_p\n"
+                           "sweep_start = -0.05\nsweep_stop = 0.05\nsweep_steps = 3\n", 9, 1),
+        # three curves
+        ("fig3-evolve", "n_max = 8\nt_end = 3\n", 3, 1),
+        # the base and dt/2 runs at n_max, and the run at 2*n_max
+        ("convergence-report", "n_max = 8\nt_end = 10\n", 3, 2),
+    ], ids=["resonance-scan", "fig3-evolve", "convergence-report"])
+    def test_presets_build_one_sector_per_truncation(self, tmp_path, monkeypatch, preset, text,
+                                                    propagations, sectors):
+        path = tmp_path / "p.cfg"
+        path.write_text(text, encoding="utf-8")
+        cfg = load_experiment(preset, config_path=path, out=tmp_path / "p.csv")
+        calls = {"propagate": [], "static_hamiltonian": []}
+        for name, calls_of in calls.items():
+            fn = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *args, fn=fn, calls_of=calls_of, **kwargs:
+                                calls_of.append(args) or fn(*args, **kwargs))
+        try:
+            run_preset(cfg)
+        except ConvergenceGuardError:
+            pass  # the small refinement study may trip its guard after the work is done
+        assert len(calls["propagate"]) == propagations
+        assert len(calls["static_hamiltonian"]) == sectors
+
+    def test_samples_read_in_blocks_match_one_table(self, small_setup, monkeypatch):
+        # a READ_BYTES of 1 reads each segment start's samples off a table of
+        # its own, against one table for the whole run
+        base, _, initial, omega_p = small_setup
+        params = _driven(base, 0.3, omega_p)
+        period = 2.0 * np.pi / omega_p
+        cfg = PropagationConfig(t_end=4.3 * period, dt=period / 200, sample_every=7)
+        space = make_space(N_SMALL, 3)
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        whole = _fields(propagate(params, space, cfg, initial))
+        monkeypatch.setattr(dynamics, "READ_BYTES", 1)
+        blocks = _fields(propagate(params, space, cfg, initial))
+        for name in whole:
+            assert np.max(np.abs(blocks[name] - whole[name])) <= 1e-15, name
 
     def test_rejects_hamiltonian_without_half_period_symmetry(self, small_setup, monkeypatch):
         # e-f coupling inside the sector keeps it closed but breaks S H S = H,
@@ -617,7 +682,8 @@ class TestSectorFloquet:
             off = (initial + off) / np.linalg.norm(initial + off)
         amp = abs(off[space.index("g", 1)])
         cfg = PropagationConfig(t_end=3.0, dt=2.0 * np.pi / (n_per * omega_p))
-        with pytest.raises(ValueError, match=rf"parity sector .*: amplitude {amp:.3g} on \|g,1>"):
+        with pytest.raises(dynamics.StateOffSectorError,
+                           match=rf"parity sector .*: amplitude {amp:.3g} on \|g,1>"):
             propagate(params, space, cfg, off)
 
     # a Hermitian perturbation that couples the sectors, or one that is not real
@@ -653,9 +719,9 @@ class TestHalfStepNodes:
         sector, nodes_of, factors_of = (dynamics._propagate_sector, dynamics._half_step_nodes,
                                         dynamics._node_factors)
 
-        def spy_sector(params, dt, h_s, v_s, *rest):
-            seen.update(h_s=h_s, v_s=v_s, tau=0.5 * dt)
-            return sector(params, dt, h_s, v_s, *rest)
+        def spy_sector(params, dt, blocks, *rest):
+            seen.update(h_s=blocks.h_s, v_s=blocks.v_s, tau=0.5 * dt)
+            return sector(params, dt, blocks, *rest)
 
         def spy_nodes(gammas, tau, max_nodes):
             seen["gammas"] = gammas
@@ -738,16 +804,16 @@ class TestHalfStepNodes:
         # Omega 1000 at T/50: the pass's 26 strengths span h = 520 either side
         # of their middle and tau = 0.0136, so the bound needs all 26 as
         # nodes; the pass then diagonalizes each half step as it applies it,
-        # and leaves a memo alone
+        # and leaves the sector's memo alone
         base, _, _, omega_p = small_setup
         seen = self._pass(monkeypatch, base, omega_p, 1000.0, 50, n_max, starts[n_max])
         dim = seen["h_s"].shape[0]
         assert len(np.unique(seen["gammas"])) == len(seen["gammas"]) == 26
         assert seen["interpolated"] is None and "stack" not in seen
         assert [c for c in eigh_calls if c[-2:] == (dim, dim)] == [(dim, dim)] * 26
-        factors = {"key": None}
-        propagate(*seen["args"], factors=factors)
-        assert factors == {"key": None}
+        memo = dynamics.Sector(*seen["args"][:2])
+        propagate(*seen["args"], sector=memo)
+        assert memo._nodes is None and memo._eigh is None
         assert self._step_loop_gap(monkeypatch, seen) <= 1e-12
 
     @pytest.mark.parametrize("short", [0, 1])
@@ -792,6 +858,50 @@ class TestHalfStepNodes:
         slow = _on_step_loop(monkeypatch, *args)
         for name in ("p_f1", "p_ground", "norm"):
             assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 5e-13, name
+
+
+def _adaptive_exponential(h_matvec, dt, psi, n_sub, order=None):
+    """The step loop's earlier kernel: Taylor terms until one is under 1e-16 of the sum."""
+    h = dt / n_sub
+    for _ in range(n_sub):
+        acc = psi.copy()
+        term = psi
+        for j in range(1, 41):
+            term = (-1j * h / j) * h_matvec(term)
+            acc += term
+            if np.linalg.norm(term) <= 1e-16 * np.linalg.norm(acc):
+                break
+        psi = acc
+    return psi
+
+
+class TestTaylorKernel:
+    """The step loop's fixed-degree Horner kernel."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, 0.04, 0.145, 0.5])
+    def test_degree_is_the_smallest_within_the_bound(self, theta):
+        def tail(m):
+            return theta ** (m + 1) / math.factorial(m + 1) / (1.0 - theta / (m + 2))
+
+        m = dynamics._taylor_order(theta)
+        assert tail(m) <= 1.1e-16
+        assert m == 0 or tail(m - 1) > 1.1e-16
+
+    @pytest.mark.parametrize("n_max", [8, 40])
+    def test_matches_the_adaptive_kernel(self, monkeypatch, n_max):
+        # an off-grid step (dt 0.0067 at omega_p 4.63 is T/202.5) runs the step loop
+        base = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0)
+        spec = solve_spectrum(base, make_space(n_max, 2))
+        params = _driven(base, 0.2, resonance_frequency(base, spec.ground_energy))
+        initial = embed_ground_state(ground_state(spec)[0])
+        space = make_space(n_max, 3)
+        cfg = PropagationConfig(t_end=6.0, dt=0.0067, sample_every=9)
+        monkeypatch.setattr(dynamics, "_propagate_sector", _refuse)
+        horner = _fields(propagate(params, space, cfg, initial))
+        monkeypatch.setattr(dynamics, "_apply_exponential", _adaptive_exponential)
+        adaptive = _fields(propagate(params, space, cfg, initial))
+        for name in horner:
+            assert np.max(np.abs(horner[name] - adaptive[name])) <= 1e-13, name
 
 
 def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):

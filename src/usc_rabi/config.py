@@ -227,8 +227,10 @@ def largest_array_bytes(cfg: ExperimentConfig) -> int:
     whose number grows with the drive strength too.  That one is not
     counted here; the pass holds it to dynamics.NODE_STACK_BYTES, under
     MAX_ARRAY_BYTES, and diagonalizes its half steps one at a time where it
-    would be larger.  The pass reads its samples off a table it holds to
-    dynamics.READ_BYTES the same way.
+    would be larger.  convergence-report runs two passes at once (its
+    2*n_max run beside its base and dt/2 runs), so it can hold two node
+    stacks, up to 2 x NODE_STACK_BYTES.  The pass reads its samples off
+    tables it holds to dynamics.READ_BYTES the same way.
     """
     n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
     chain2 = 8 * n2 * n2

@@ -45,13 +45,13 @@ propagate builds its own.  One of two integrators steps the blocks:
   start, forward, or backward by conjugation from the next one, with r at
   most that quarter period, so it is read off a few probe rows of P_r
   recorded by the pass: one product of those rows with the segment starts
-  gives every sample.  Each half-step factor exp(-i (dt/2)(H_static +
-  gamma V)) is entire in the drive strength gamma, so the pass
-  diagonalizes at a few Chebyshev nodes in gamma, as many as an
-  interpolation bound needs to hold every factor to 1e-17, and forms each
-  factor as a weighted sum of the node factors: at the default T/200 and
-  drive_amp a propagation makes 5 real eigendecompositions (4 at T/400)
-  where one per factor would be 100 (200).  A drive so strong that the
+  and one with their conjugates give every sample.  Each half-step factor
+  exp(-i (dt/2)(H_static + gamma V)) is entire in the drive strength
+  gamma, so the pass diagonalizes at a few Chebyshev nodes in gamma, as
+  many as an interpolation bound needs to hold every factor to 1e-17, and
+  forms each factor as a weighted sum of the node factors: at the default
+  T/200 and drive_amp a propagation makes 5 real eigendecompositions (4 at
+  T/400) where one per factor would be 100 (200).  A drive so strong that the
   bound needs a node per factor, or a sector so large that the node
   factors would pass NODE_STACK_BYTES (32 MiB), diagonalizes each factor
   as it is applied instead.  Each step's drive strengths
@@ -246,6 +246,13 @@ class Sector:
     real eigendecompositions of the sector Hamiltonian at the drive
     strengths (nodes) of the last folded pass that interpolated its half
     steps (node_eigh).
+
+    Threads may share a Sector.  Its blocks and probe rows are never
+    written after construction, and the memo is one attribute holding the
+    pair (nodes, eigendecomposition), read once and replaced whole, so a
+    call never pairs its nodes with another call's eigendecomposition.  Two
+    threads that miss the memo together each diagonalize, and the memo
+    keeps the later pair.
     """
 
     def __init__(self, params: ModelParams, space: SpaceDescriptor):
@@ -268,7 +275,7 @@ class Sector:
         self.probe[0, pos[space.index("f", 1)]] = 1.0
         if space.n_max >= 3:
             self.probe[1, pos[space.index("f", 3)]] = 1.0
-        self._nodes = self._eigh = None
+        self._memo = (None, None)
 
     def _block(self, m: np.ndarray) -> np.ndarray:
         if np.any(m.imag) or np.any(m[np.ix_(self.mask, ~self.mask)]):
@@ -280,10 +287,11 @@ class Sector:
 
         Kept until a call with other nodes replaces it.
         """
-        if not np.array_equal(nodes, self._nodes):
-            self._eigh = np.linalg.eigh(self.h_s + nodes[:, None, None] * self.v_s)
-            self._nodes = nodes
-        return self._eigh
+        memo = self._memo  # read once: another thread may replace it meanwhile
+        if not np.array_equal(nodes, memo[0]):
+            eigh = np.linalg.eigh(self.h_s + nodes[:, None, None] * self.v_s)
+            memo = self._memo = (nodes, eigh)
+        return memo[1]
 
 
 def build_h_full(params: ModelParams, space: SpaceDescriptor, t: float) -> np.ndarray:
@@ -530,14 +538,15 @@ def _propagate_sector(
     s <= ceil(L/2), and otherwise M^(i+1) conj(P_{L-s} c) with c =
     conj(phi_{i+1}).  So every sample is P_r c for some r <= ceil(L/2), and
     what it reports is linear in P_r c: the pass records, at each r a sample
-    needs, the probe rows W P_r, with W the rows <f,1|, <f,3|, psi0^H of
-    propagate and psi0^H S, psi0^T and psi0^T S (the transposed rows serve
-    the backward samples, read by conjugation; M leaves |<f,n|...>| alone).
-    The segment starts that hold a sample are stacked, each with its
-    conjugate, as the columns of C, and every sample is one entry of the
-    table (W P_r)_r C: one product, read by a flat gather, in blocks of
-    segment starts that keep the table under READ_BYTES.  The amplitudes
-    returned at the sample steps marks are the probe overlaps up to a phase.
+    needs, the probe rows W P_r, with W the rows psi0^H, psi0^H S, <f,1|,
+    <f,3| of propagate and psi0^T, psi0^T S (M leaves |<f,n|...>| alone).
+    The segment starts that hold a sample are stacked as the columns of C.
+    A forward sample is an entry of (W_f P_r)_r C, with W_f the first four
+    rows, and a backward one an entry of (W_b P_r)_r conj(C), with W_b the
+    last four (the transposed ground rows read it by conjugation): two
+    products, read by one flat gather, in blocks of segment starts that keep
+    both tables under READ_BYTES.  The amplitudes returned at the sample
+    steps marks are the probe overlaps up to a phase.
 
     The pass's 2 ceil(L/2) half steps are not diagonalized one by one.
     _half_step_nodes picks d+1 Chebyshev nodes on the range of their
@@ -616,8 +625,10 @@ def _propagate_sector(
     base = seg + back
     at = np.where(back, n_seg - s, s)
 
+    # psi0^H, psi0^H S, <f,1|, <f,3|, psi0^T, psi0^T S: rows 0-3 read the
+    # forward samples, rows 2-5 the backward ones
     ground = probe[2]
-    probe = np.vstack([probe, ground * m_sign, ground.conj(), ground.conj() * m_sign])
+    probe = np.vstack([ground, ground * m_sign, probe[:2], ground.conj(), ground.conj() * m_sign])
 
     # the pass: P_0 ... P_ceil(L/2), recording the probe rows and the defect at
     # every r a sample needs; then M P_L = P_ceil^T M P_floor
@@ -625,7 +636,8 @@ def _propagate_sector(
     needed[at] = True
     # slot[r]: where the needed r keeps its probe rows
     slot = np.cumsum(needed) - 1
-    rows = np.empty((slot[-1] + 1,) + probe.shape, dtype=complex)
+    n_rec = slot[-1] + 1
+    rows = np.empty((len(probe), n_rec, dim), dtype=complex)
     defect = np.zeros(n_mid + 1)
     eye = np.eye(dim)
     half = half_steps()
@@ -636,7 +648,7 @@ def _propagate_sector(
             p_lo, p = p, next(half) @ p
             p = next(half) @ p
         if needed[r]:
-            rows[slot[r]] = probe @ p
+            rows[:, slot[r]] = probe @ p
             defect[r] = np.linalg.norm(p.conj().T @ p - eye)
     half.close()  # drops the node factors before the segment map
     if n_seg % 2 == 0:
@@ -655,20 +667,24 @@ def _propagate_sector(
             phi = seg_map @ phi
         phis[k], i = phi, start
 
-    # a sample's rows in the table: <f,1| and <f,3| of its r, and the ground
-    # overlap's psi0^H or psi0^T, times S for odd base; its column is
-    # 2 which + back
-    top = len(probe) * slot[at]
-    row = np.stack([top, top + 1, top + 2 + 2 * back + base % 2])
-    rows = rows.reshape(-1, dim)
+    # a sample's rows, counted over both tables stacked (forward: rows 0-3
+    # of probe, backward: rows 2-5, each over every recorded r): <f,1| and
+    # <f,3| of its r, and the ground overlap's psi0^H or psi0^T, times S for
+    # odd base; its column is which
+    fwd, bwd = rows[:4].reshape(-1, dim), rows[2:].reshape(-1, dim)
+    k = slot[at] + back * len(fwd)
+    row = np.stack([k + (2 - 2 * back) * n_rec, k + (3 - 2 * back) * n_rec,
+                    k + (2 * back + base % 2) * n_rec])
     amps = np.empty((3, len(marks)), dtype=complex)
-    # segment starts per block, each two table columns of len(rows) entries
-    per = max(1, READ_BYTES // (32 * len(rows)))
+    # segment starts per block, each a column of both tables
+    per = max(1, READ_BYTES // (32 * len(fwd)))
     for lo in range(0, len(starts), per):
         block = phis[lo : lo + per].T
-        table = rows @ np.stack([block, block.conj()], axis=2).reshape(dim, -1)
+        tables = np.empty((2, len(fwd), block.shape[1]), dtype=complex)
+        np.matmul(fwd, block, out=tables[0])
+        np.matmul(bwd, block.conj(), out=tables[1])
         j = slice(*np.searchsorted(which, [lo, lo + per]))
-        amps[:, j] = table.ravel()[row[:, j] * table.shape[1] + 2 * (which[j] - lo) + back[j]]
+        amps[:, j] = tables.ravel()[row[:, j] * block.shape[1] + which[j] - lo]
 
     norms = np.linalg.norm(phis, axis=1)[which]
     return amps, norms, defect[at] * norms

@@ -8,6 +8,7 @@ configuration.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -410,8 +411,12 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     Writes its CSV, then raises ConvergenceGuardError when the ground energy
     moves above 1e-8 under truncation doubling or the peak transfer moves
     above 1e-6 under either refinement.  Both grids are checked before
-    anything is propagated, and the base and halved-step runs share one
-    dynamics.Sector.  Pure computation; idempotent across runs.
+    anything is propagated.  The 2*n_max run, the longest, runs on the
+    calling thread while a second thread runs the base and halved-step runs
+    on their shared dynamics.Sector; numpy drops the GIL in its linear
+    algebra, so the two overlap on two cores.  Each run is the serial one
+    bit for bit, and a failure is raised in the serial order: base, 2*n_max,
+    then halved step.  Pure computation; idempotent across runs.
     """
     # the 2*n_max ground pair is propagated too, so it is solved, not certified
     psi0_2n, lambda0_2n, gap_2n = rabi_core.ground_levels(
@@ -438,11 +443,30 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
             ) from exc
         return float(series.p_f1.max())
 
-    sector = dynamics.Sector(run.params, run.space3)
-    p_base = peak(sector, run.initial, base_prop)
-    p_2n = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
-                dynamics.embed_ground_state(psi0_2n), base_prop)
-    p_half = peak(sector, run.initial, half_prop)
+    # run -> its peak, or the error it raised; a failed base run skips dt/2
+    peaks: dict = {}
+
+    def base_runs() -> None:
+        try:
+            sector = dynamics.Sector(run.params, run.space3)
+            peaks["base"] = peak(sector, run.initial, base_prop)
+            peaks["half"] = peak(sector, run.initial, half_prop)
+        except BaseException as exc:  # raised on the calling thread, in serial order
+            peaks["half" if "base" in peaks else "base"] = exc
+
+    worker = threading.Thread(target=base_runs)
+    worker.start()
+    try:
+        peaks["2n"] = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
+                           dynamics.embed_ground_state(psi0_2n), base_prop)
+    except Exception as exc:
+        peaks["2n"] = exc
+    finally:
+        worker.join()
+    for name in ("base", "2n", "half"):  # the serial order
+        if isinstance(peaks[name], BaseException):
+            raise peaks[name]
+    p_base, p_2n, p_half = peaks["base"], peaks["2n"], peaks["half"]
 
     d_lambda0 = abs(spec.ground_energy - lambda0_2n)
     d_p_nmax = abs(p_2n - p_base)

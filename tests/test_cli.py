@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,70 @@ class TestCliRuns:
         assert proc.returncode == 0, proc.stderr
         names, data = _read_columns(out)
         assert np.max(np.abs(data[:, names.index("norm")] - 1.0)) < 1e-9
+
+
+def _refinement_run(params, space, config, n_max: int = 8) -> str:
+    """Which run of convergence-report (n_max, default grid) a propagate call is."""
+    if space.n_max == 2 * n_max:
+        return "2n"
+    return "half" if round(2.0 * np.pi / (params.drive_freq * config.dt)) == 400 else "base"
+
+
+class TestConvergenceReportThreads:
+    """convergence-report runs its 2*n_max propagation beside its base and dt/2 runs."""
+
+    @pytest.mark.parametrize("text, n_max", [("n_max = 8\nt_end = 10\n", 8), ("", 40)])
+    def test_columns_are_the_serial_runs_bit_for_bit(self, tmp_path, monkeypatch, text, n_max):
+        calls = {}
+        propagate = dynamics.propagate
+
+        def spy(params, space, config, initial, **kwargs):
+            calls[_refinement_run(params, space, config, n_max)] = (params, space, config, initial)
+            return propagate(params, space, config, initial, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate", spy)
+        cfg = load_experiment("convergence-report", config_path=_write(tmp_path, "c.cfg", text),
+                              out=tmp_path / "c.csv")
+        threads = threading.active_count()
+        cols = run_preset(cfg).columns
+        assert threading.active_count() == threads
+        # each run again, one after another on this thread, each on its own sector
+        serial = [float(propagate(*calls[name]).p_f1.max()) for name in ("base", "2n", "half")]
+        assert cols["max_p_f1"] == serial
+        assert cols["n_max"] == [n_max, 2 * n_max, n_max]
+
+    @pytest.mark.parametrize("error", [dynamics.NormDriftError, dynamics.StateOffSectorError])
+    @pytest.mark.parametrize("failing", [
+        ("base",), ("2n",), ("half",), ("base", "2n"), ("base", "half"), ("2n", "half"),
+        ("base", "2n", "half"),
+    ], ids="-".join)
+    def test_failure_is_the_serial_first(self, tmp_path, monkeypatch, capsys, error, failing):
+        # the 2*n_max run fails at once, the others only after propagating, so
+        # the first failure in time is not always the first in serial order
+        propagate = dynamics.propagate
+
+        def failing_propagate(params, space, config, initial, **kwargs):
+            name = _refinement_run(params, space, config)
+            if name in failing:
+                if name != "2n":
+                    propagate(params, space, config, initial, **kwargs)
+                raise error(f"{name} run failed")
+            return propagate(params, space, config, initial, **kwargs)
+
+        monkeypatch.setattr(dynamics, "propagate", failing_propagate)
+        cfg = _write(tmp_path, "c.cfg", "n_max = 8\nt_end = 10\n")
+        out = tmp_path / "c.csv"
+        threads = threading.active_count()
+        assert main(["convergence-report", "--config", str(cfg), "--out", str(out)]) == 2
+        assert threading.active_count() == threads
+        first = failing[0]
+        if error is dynamics.NormDriftError:
+            want = f"propagation aborted: {first} run failed"
+        else:
+            n_max = 16 if first == "2n" else 8
+            want = f"convergence guard: truncation n_max={n_max} not converged: {first} run failed"
+        assert capsys.readouterr().err == f"usc-rabi: {want}\n"
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -912,6 +977,38 @@ def test_presets_import_nothing_at_run_time(tmp_path):
     assert new == {name: [] for name in (
         "fig2-sweep", "fig3-evolve", "resonance-scan", "convergence-report",
         "two-state-compare", "scipy")}
+
+
+_PACKAGE_IMPORTS_SCRIPT = """
+import importlib
+import json
+import pkgutil
+import sys
+
+import usc_rabi
+
+names = [m.name for m in pkgutil.iter_modules(usc_rabi.__path__)]
+for name in names:
+    importlib.import_module(f"usc_rabi.{name}")
+print(json.dumps({"modules": names, "unwanted": sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("scipy", "logging") or m.startswith("concurrent.futures"))}))
+"""
+
+
+def test_package_imports_no_scipy_logging_or_futures():
+    # numpy is the one runtime dependency, and concurrent.futures imports
+    # logging, which would add to every run's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_IMPORTS_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(got["modules"]) == sorted(
+        p.stem for p in (src / "usc_rabi").glob("*.py") if p.stem != "__init__")
+    assert got["unwanted"] == []
 
 
 class TestConfigExtremes:

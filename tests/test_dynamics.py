@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -526,6 +528,40 @@ class TestSectorFloquet:
             alone = _fields(propagate(params, space, cfg, start))
             assert all(np.array_equal(shared[f], alone[f]) for f in alone), (amp, n_per, n_max)
 
+    def test_sector_shared_by_threads_pairs_nodes_with_their_own_eigh(self, small_setup):
+        # two threads ask one sector for alternating node sets (4 and 5 nodes,
+        # so a mismatched pair differs in shape too); every answer must be
+        # the eigendecomposition of the nodes asked for.  A small sector
+        # (4 states) and a short switch interval make the threads interleave
+        # between the memo's reads and writes, not only inside eigh: a memo
+        # kept as two attributes, set eigh first and nodes second, failed 7
+        # of 8 runs
+        base, *_ = small_setup
+        sector = dynamics.Sector(base, make_space(2, 3))
+        node_sets = [np.linspace(-0.2, 0.25, 4), np.linspace(-0.3, 0.3, 5)]
+        want = [np.linalg.eigh(sector.h_s + nodes[:, None, None] * sector.v_s)
+                for nodes in node_sets]
+        wrong = []
+
+        def ask(first):
+            for i in range(4000):
+                k = (first + i) % 2
+                w, q = sector.node_eigh(node_sets[k].copy())
+                if not (np.array_equal(w, want[k][0]) and np.array_equal(q, want[k][1])):
+                    wrong.append((first, i))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(first,)) for first in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert not wrong
+
     @pytest.mark.parametrize("field, value", [
         ("omega0", 1.1), ("coupling", 0.4), ("omega_f", 3.1), ("n_max", N_SMALL - 2)])
     def test_rejects_a_sector_of_another_model(self, small_setup, field, value):
@@ -571,8 +607,8 @@ class TestSectorFloquet:
         assert len(calls["static_hamiltonian"]) == sectors
 
     def test_samples_read_in_blocks_match_one_table(self, small_setup, monkeypatch):
-        # a READ_BYTES of 1 reads each segment start's samples off a table of
-        # its own, against one table for the whole run
+        # a READ_BYTES of 1 reads each segment start's samples off tables of
+        # its own, against one pair of tables for the whole run
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.3, omega_p)
         period = 2.0 * np.pi / omega_p
@@ -813,7 +849,7 @@ class TestHalfStepNodes:
         assert [c for c in eigh_calls if c[-2:] == (dim, dim)] == [(dim, dim)] * 26
         memo = dynamics.Sector(*seen["args"][:2])
         propagate(*seen["args"], sector=memo)
-        assert memo._nodes is None and memo._eigh is None
+        assert memo._memo == (None, None)
         assert self._step_loop_gap(monkeypatch, seen) <= 1e-12
 
     @pytest.mark.parametrize("short", [0, 1])

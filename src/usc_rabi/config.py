@@ -222,15 +222,17 @@ def largest_array_bytes(cfg: ExperimentConfig) -> int:
     matrices of a propagation (static_hamiltonian, drive_operator), at
     2*n_max for convergence-report's refined run.  Every other array that
     grows with n_max is smaller (solve_spectrum's real 2-level
-    eigenvectors, fig2-sweep's arrays over a chunk of couplings) but one: a
+    eigenvectors) or held to a fixed budget and not counted here:
+    fig2-sweep's arrays over a chunk of couplings, about 1 MiB per
+    (2*n_max+1)-site array (2 MiB for a Sturm count of both chains), and a
     folded propagation pass's stack of node factors, a few sector matrices
-    whose number grows with the drive strength too.  That one is not
-    counted here; the pass holds it to dynamics.NODE_STACK_BYTES, under
-    MAX_ARRAY_BYTES, and diagonalizes its half steps one at a time where it
-    would be larger.  convergence-report runs two passes at once (its
-    2*n_max run beside its base and dt/2 runs), so it can hold two node
-    stacks, up to 2 x NODE_STACK_BYTES.  The pass reads its samples off
-    tables it holds to dynamics.READ_BYTES the same way.
+    whose number grows with the drive strength too, which the pass holds to
+    dynamics.NODE_STACK_BYTES, under MAX_ARRAY_BYTES, by diagonalizing its
+    half steps one at a time where it would be larger.  convergence-report
+    runs two passes at once (its 2*n_max run beside its base and dt/2
+    runs), so it can hold two node stacks, up to 2 x NODE_STACK_BYTES.  The
+    pass reads its samples off tables it holds to dynamics.READ_BYTES the
+    same way.
     """
     n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
     chain2 = 8 * n2 * n2

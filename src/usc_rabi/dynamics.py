@@ -532,8 +532,9 @@ def _propagate_sector(
     n_per is odd).  Then P_L = M P_ceil(L/2)^T M P_floor(L/2), and, each P
     being unitary, P_s = M conj(P_{L-s}) M P_L.  One pass steps the identity
     ceil(L/2) steps to form M P_L, which maps phi_i to phi_{i+1}, where phi_i
-    is M^i times the state at step iL (phi_2q = psi(qT)); it is applied only
-    up to the segments that hold a sample.  The state at step iL + s is
+    is M^i times the state at step iL (phi_2q = psi(qT)), made unitary to
+    rounding by two Newton-Schulz polar steps; it is applied only up to the
+    segments that hold a sample.  The state at step iL + s is
     M^i P_s phi_i: forward, P_s applied to the start column c = phi_i when
     s <= ceil(L/2), and otherwise M^(i+1) conj(P_{L-s} c) with c =
     conj(phi_{i+1}).  So every sample is P_r c for some r <= ceil(L/2), and
@@ -654,6 +655,8 @@ def _propagate_sector(
     if n_seg % 2 == 0:
         p_lo = p
     seg_map = (p.T * m_sign) @ p_lo
+    for _ in range(2):
+        seg_map -= 0.5 * (seg_map @ (seg_map.conj().T @ seg_map - eye))
 
     # base never decreases along marks: phis[k] is phi_{starts[k]}, the k-th
     # segment start that holds a sample, and sample j reads phis[which[j]]

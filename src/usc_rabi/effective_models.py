@@ -83,13 +83,14 @@ def multiphoton_model(params: ModelParams, spectrum: SpectrumResult, n: int) -> 
 def analytic_transfer(model: TwoStateModel, t):
     """Transfer probability g^2/(g^2 + delta^2/4) sin^2(sqrt(g^2 + delta^2/4) t).
 
-    Accepts a scalar or an array of times; returns zeros when g = 0.
+    Accepts a scalar or an array of times; returns zeros when g = 0, and a
+    finite curve where g^2 underflows (the rate is hypot(g, delta/2)).
     """
     t = np.asarray(t, dtype=float)
     if model.coupling == 0.0:
         return np.zeros_like(t)
-    rate = np.sqrt(model.coupling**2 + model.detuning**2 / 4.0)
-    return (model.coupling**2 / rate**2) * np.sin(rate * t) ** 2
+    rate = np.hypot(model.coupling, model.detuning / 2.0)
+    return (model.coupling / rate) ** 2 * np.sin(rate * t) ** 2
 
 
 def half_period(model: TwoStateModel) -> float:

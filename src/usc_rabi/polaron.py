@@ -43,6 +43,8 @@ class PolaronParams:
     lambda_prime  renormalized interaction 2 * eta * omega0 * xi * coupling / omega_c
     omega_prime   renormalized drive strength eta^(1/4) * drive_amp
     e_approx      approximate ground energy coupling^2 xi (xi - 2)/omega_c - omega0_prime/2
+
+    Each is an array over the couplings when params.coupling is one.
     """
 
     xi: float
@@ -68,41 +70,54 @@ def solve_xi_eta(params: ModelParams) -> PolaronParams:
     above stays above it; with one, f increases up to it and any bracket
     holds only that root.
 
-    Raises ValueError if the residuals have not dropped below 1e-12 after
-    200 steps.
+    params.coupling is one coupling, the one-element case, or a 1-d array of
+    them.  Each element stops at the step that moves its eta by less than
+    1e-15, so it is bit for bit its one-coupling solve.  Raises ValueError,
+    naming the first such coupling, if the residuals have not dropped below
+    1e-12 after 200 steps.
     """
-    w0, lam = params.omega0, params.coupling
-    lo, hi, eta = 0.0, 1.0, 1.0
+    w0 = params.omega0
+    lam = np.atleast_1d(params.coupling).astype(float)
+    lam2 = lam**2
+    c = -2.0 * lam2
+    lo, hi, eta = np.zeros_like(lam), np.ones_like(lam), np.ones_like(lam)
     xi = 1.0 / (1.0 + eta * w0)
+    live = np.ones(lam.shape, dtype=bool)
     for k in range(FIXED_POINT_MAX_ITER):
-        xi = 1.0 / (1.0 + eta * w0)
-        eta_next = np.exp(-2.0 * lam**2 * xi**2)
+        x = 1.0 / (1.0 + eta * w0)
+        eta_next = np.exp(c * x**2)
         if k >= _PLAIN_STEPS:
             f = eta - eta_next
-            lo, hi = (lo, eta) if f > 0 else (eta, hi)
-            slope = 1.0 - 4.0 * lam**2 * xi**3 * w0 * eta_next
-            eta_next = eta - f / slope if slope > 0 else -1.0
-            if not lo <= eta_next <= hi:
-                eta_next = 0.5 * (lo + hi)
-        converged = abs(eta_next - eta) < 1e-15
-        eta = eta_next
-        if converged:
+            lo, hi = np.where(f > 0, lo, eta), np.where(f > 0, eta, hi)
+            slope = 1.0 - 4.0 * lam2 * x**3 * w0 * eta_next
+            # a step with slope <= 0 leaves the bracket, as does eta - inf
+            newton = eta - np.divide(f, slope, out=np.full_like(f, np.inf), where=slope > 0)
+            eta_next = np.where((lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        xi = np.where(live, x, xi)
+        converged = np.abs(eta_next - eta) < 1e-15
+        eta = np.where(live, eta_next, eta)
+        live &= ~converged
+        if not live.any():
             break
-    res_xi = abs(xi - 1.0 / (1.0 + eta * w0))
-    res_eta = abs(eta - np.exp(-2.0 * lam**2 * xi**2))
-    if res_xi > FIXED_POINT_RESIDUAL_TOL or res_eta > FIXED_POINT_RESIDUAL_TOL:
+    res_xi = np.abs(xi - 1.0 / (1.0 + eta * w0))
+    res_eta = np.abs(eta - np.exp(c * xi**2))
+    bad = np.flatnonzero(np.maximum(res_xi, res_eta) > FIXED_POINT_RESIDUAL_TOL)
+    if bad.size:
+        k = bad[0]
         raise ValueError(
             f"(xi, eta) fixed point did not converge at omega0={w0:g}, "
-            f"lambda={lam:g}: residuals ({res_xi:.3e}, {res_eta:.3e})"
+            f"lambda={lam[k]:g}: residuals ({res_xi[k]:.3e}, {res_eta[k]:.3e})"
         )
+    if np.ndim(params.coupling) == 0:
+        xi, eta, lam, lam2 = xi[0], eta[0], lam[0], lam2[0]
     omega0_prime = eta * w0
     return PolaronParams(
         xi=xi,
         eta=eta,
         omega0_prime=omega0_prime,
         lambda_prime=2.0 * eta * w0 * xi * lam,
-        omega_prime=eta**0.25 * params.drive_amp,
-        e_approx=lam**2 * xi * (xi - 2.0) - omega0_prime / 2.0,
+        omega_prime=np.sqrt(np.sqrt(eta)) * params.drive_amp,
+        e_approx=lam2 * xi * (xi - 2.0) - omega0_prime / 2.0,
     )
 
 
@@ -145,7 +160,8 @@ def approx_ground_state(
 
 def c10_approx(params: ModelParams, polaron: PolaronParams) -> float:
     """Closed-form single-virtual-photon amplitude -eta^(1/4) xi coupling / omega_c."""
-    return -polaron.eta**0.25 * polaron.xi * params.coupling
+    # eta^(1/4) as two square roots, which round alike on a scalar and an array
+    return -np.sqrt(np.sqrt(polaron.eta)) * polaron.xi * params.coupling
 
 
 def transformed_h_rabi(

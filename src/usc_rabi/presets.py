@@ -27,7 +27,7 @@ _DEFAULT_OMEGA_LIST = (0.2, 0.4, 0.8)
 _DEFAULT_DRIVE_AMP = {"resonance-scan": 0.4, "convergence-report": 0.2, "two-state-compare": 0.2}
 _FLOAT_FMT = "%.12g"
 # bytes of one (2*n_max+1)-site array over a fig2-sweep chunk (_sweep_chunk)
-_CHUNK_BYTES = 1 << 14
+_CHUNK_BYTES = 1 << 20
 
 
 class ConvergenceGuardError(RuntimeError):
@@ -249,52 +249,62 @@ def _grid_steps(prop: dynamics.PropagationConfig) -> int:
 
 
 def _sweep_chunk(n_max: int) -> int:
-    """Couplings fig2-sweep solves together: _CHUNK_BYTES per (2*n_max+1)-site array."""
+    """Couplings fig2-sweep solves together: _CHUNK_BYTES per (2*n_max+1)-site array.
+
+    A 41-point grid is one chunk up to n_max = 1597, a 161-point one up to 406.
+    """
     return max(1, _CHUNK_BYTES // (8 * (2 * n_max + 1)))
+
+
+def _judge_sweep_point(cfg: ExperimentConfig, lam, ground, gap, ref) -> None:
+    """Raise what a point-by-point fig2-sweep raises at lam before its polaron solve."""
+    params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
+    _require_gap(params.coupling, cfg.n_max, gap)
+    if ref is not None:
+        try:
+            _guard_ground(params, cfg.n_max, ground, ref, label=f"lambda={lam:g}")
+        except ConvergenceGuardError as exc:
+            raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
 
 
 def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     """Virtual-photon amplitude versus coupling: exact against the closed form.
 
     One row per coupling grid point, read off the ground pair alone.  The grid
-    is solved in chunks of _sweep_chunk couplings: rabi_core.ground_levels
-    stacks a chunk's n_max chains, and _references certifies them all at
-    once and gives the points it leaves open their 2*n_max pairs as one more
-    stack.  Every pair is bit for bit the one-coupling one.  The points are
-    then judged in grid order, so the first failure is the one a
-    point-by-point sweep meets: a ground level degenerate at n_max or 2*n_max
-    is a config error that names the coupling and the truncation, a
-    non-converged point aborts the sweep (exit 2), and so does an unsolved
-    polaron fixed point (config error).
+    is solved as arrays in chunks of _sweep_chunk couplings (one at the
+    defaults): rabi_core.ground_levels stacks a chunk's n_max chains,
+    _references certifies them at once and solves the points it leaves open
+    at 2*n_max as one more stack, and polaron.solve_xi_eta takes the chunk
+    as one array.  Every value is bit for bit the one-coupling one.  The
+    points that can fail (a degenerate level, an open guard) are judged in
+    grid order up to the first that does, and the fixed points solved up to
+    it, so the first failure is the one a point-by-point sweep meets: a
+    ground level degenerate at n_max or 2*n_max is a config error naming the
+    coupling and the truncation, a non-converged point aborts the sweep
+    (exit 2), and an unsolved polaron fixed point is a config error.
     """
     grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps)
-    cols: dict = {name: [] for name in (
-        "lambda", "c10_exact", "c10_approx", "xi", "eta", "lambda0_exact", "e_approx",
-    )}
     space = make_space(cfg.n_max, 2)
     c10 = space.index("e", 1)
     chunk = _sweep_chunk(cfg.n_max)
+    parts = []
     for lo in range(0, grid.size, chunk):
         lams = grid[lo : lo + chunk]
         psi, energy, gap = rabi_core.ground_levels(cfg.omega0, lams, space)
         refs = _references(cfg.omega0, lams, cfg.n_max, (psi, energy))
-        for k, lam in enumerate(lams):
-            params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-            _require_gap(params.coupling, cfg.n_max, gap[k])
-            if k in refs:
-                try:
-                    _guard_ground(params, cfg.n_max, (psi[k], energy[k]), refs[k],
-                                  label=f"lambda={lam:g}")
-                except ConvergenceGuardError as exc:
-                    raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
-            pol = _checked(polaron.solve_xi_eta, params)
-            cols["lambda"].append(lam)
-            cols["c10_exact"].append(psi[k, c10])
-            cols["c10_approx"].append(polaron.c10_approx(params, pol))
-            cols["xi"].append(pol.xi)
-            cols["eta"].append(pol.eta)
-            cols["lambda0_exact"].append(energy[k])
-            cols["e_approx"].append(pol.e_approx)
+        for k in sorted({*np.flatnonzero(gap < rabi_core.GROUND_GAP_TOL), *refs}):
+            try:
+                _judge_sweep_point(cfg, lams[k], (psi[k], energy[k]), gap[k], refs.get(k))
+            except (ConfigError, ConvergenceGuardError):
+                # an unsolved fixed point before the failing point fails first
+                _checked(polaron.solve_xi_eta, ModelParams(omega0=cfg.omega0, coupling=lams[:k]))
+                raise
+        params = ModelParams(omega0=cfg.omega0, coupling=lams, omega_f=cfg.omega_f)
+        pol = _checked(polaron.solve_xi_eta, params)
+        parts.append((lams, psi[:, c10], polaron.c10_approx(params, pol), pol.xi, pol.eta,
+                      energy, pol.e_approx))
+    names = ("lambda", "c10_exact", "c10_approx", "xi", "eta", "lambda0_exact", "e_approx")
+    cols = {name: np.concatenate(col) for name, col in zip(names, zip(*parts))}
     provenance = {
         "preset": cfg.preset,
         "omega0": cfg.omega0,

@@ -56,7 +56,8 @@ class ModelParams:
     """Physical frequencies and couplings, in units of the cavity frequency (omega_c = 1).
 
     omega0      bare g <-> e splitting
-    coupling    atom-cavity coupling strength (lambda in the usual notation)
+    coupling    atom-cavity coupling strength (lambda in the usual notation);
+                polaron.solve_xi_eta also takes a 1-d array of them
     omega_f     energy of the auxiliary level f
     drive_amp   classical drive strength on the e <-> f transition (Omega)
     drive_freq  classical drive frequency (omega_p)
@@ -71,7 +72,7 @@ class ModelParams:
     def __post_init__(self):
         if self.omega0 <= 0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.coupling < 0:
+        if np.any(np.asarray(self.coupling) < 0):
             raise ValueError(f"coupling must be >= 0, got {self.coupling}")
         if self.drive_amp < 0:
             raise ValueError(f"drive_amp must be >= 0, got {self.drive_amp}")
@@ -316,16 +317,14 @@ def _lowest(
     """
     n = diag.size
     w = np.empty(off.shape[:-1] + (2,))
-    psi = np.empty(off.shape[:-1] + (dim,))
+    psi = np.zeros(off.shape[:-1] + (dim, 1))
     step = max(1, STACK_BYTES // (8 * n * n))
     parts = [()] if off.ndim == 1 else [slice(k, k + step) for k in range(0, len(off), step)]
     for s in parts:
         levels, v = np.linalg.eigh(_chain_matrix(diag, off[s]))
         w[s] = levels[..., :2]
-        vectors = np.zeros(levels.shape[:-1] + (dim, 1))
-        vectors[..., rows, 0] = v[..., 0]
-        psi[s] = _fix_phases(vectors)[..., 0]
-    return w, psi
+        psi[s][..., rows, 0] = v[..., 0]
+    return w, _fix_phases(psi)[..., 0]
 
 
 def certify_grounds(

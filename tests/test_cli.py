@@ -256,6 +256,17 @@ class TestCliRuns:
         names, data = _read_columns(out)
         assert np.max(np.abs(data[:, names.index("norm")] - 1.0)) < 1e-9
 
+    def test_tiny_coupling_holds_its_norm_over_the_derived_horizon(self, tmp_path):
+        # lambda 1e-4 derives t_end = 6.4e5, about 9.4e5 half-period segments;
+        # the segment map, unitary to rounding, keeps the norm within the
+        # default 1e-9 (without its polar steps the run exits 2 at t = 3.4e4)
+        cfg = _write(tmp_path, "tiny.cfg", "lambda = 1e-4\nn_max = 8\n")
+        out = tmp_path / "tiny.csv"
+        assert main(["two-state-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        names, data = _read_columns(out)
+        assert data[-1, names.index("t")] > 6e5
+        assert np.max(np.abs(data[:, names.index("norm")] - 1.0)) < 1e-9
+
 
 def _refinement_run(params, space, config, n_max: int = 8) -> str:
     """Which run of convergence-report (n_max, default grid) a propagate call is."""
@@ -341,6 +352,13 @@ class TestExitCodes:
         cfg2 = _write(tmp_path, "l0b.cfg", "lambda = 0.0\nn_max = 8\nt_end = 5\n")
         assert main(["fig3-evolve", "--config", str(cfg2),
                      "--out", str(tmp_path / "l0b.csv")]) == 0
+
+    def test_underflowing_coupling_writes_no_nan(self, tmp_path):
+        # at lambda 1e-170 both two-state couplings square to zero
+        cfg = _write(tmp_path, "tiny.cfg", "lambda = 1e-170\nn_max = 8\nt_end = 5\n")
+        out = tmp_path / "tiny.csv"
+        assert main(["two-state-compare", "--config", str(cfg), "--out", str(out)]) in (0, 2, 3)
+        assert "nan" not in out.read_text(encoding="utf-8")
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
@@ -828,6 +846,31 @@ class TestBatchedSweep:
         cfg = _sweep_config(tmp_path, 1.0, 1.3, 7, 40, omega0=2.0)
         outcome = _pointwise_sweep(cfg)
         assert outcome[0] is ConfigError and "fixed point did not converge" in outcome[1]
+        assert _batched_sweep(cfg) == outcome
+
+    @pytest.mark.parametrize("start, stop, steps, n_max, max_iter, where", [
+        # every point certified, and every point solved at 2*n_max
+        (0.0, 1.5, 23, 30, None, None),
+        (2.5, 3.3, 33, 40, None, None),
+        # the guard fails at point 11, the fourth of the second chunk
+        (0.0, 0.9, 40, 4, None, "n_max=4 not converged at lambda=0.253846: "),
+        # the fixed point of point 10 is unsolved, before that failure
+        (0.0, 0.9, 40, 4, 7, "did not converge at omega0=1, lambda=0.230769: "),
+        # the fixed point of point 12 is unsolved, after it
+        (0.0, 0.9, 40, 4, 8, "n_max=4 not converged at lambda=0.253846: "),
+    ])
+    def test_chunks_of_eight_match_pointwise(self, tmp_path, monkeypatch, start, stop, steps,
+                                             n_max, max_iter, where):
+        monkeypatch.setattr(presets, "_CHUNK_BYTES", 8 * 8 * (2 * n_max + 1))
+        assert presets._sweep_chunk(n_max) == 8
+        if max_iter is not None:
+            monkeypatch.setattr(polaron, "FIXED_POINT_MAX_ITER", max_iter)
+        cfg = _sweep_config(tmp_path, start, stop, steps, n_max)
+        outcome = _pointwise_sweep(cfg)
+        if where is None:
+            assert isinstance(outcome, list) and len(outcome) == steps
+        else:
+            assert where in outcome[1]
         assert _batched_sweep(cfg) == outcome
 
 

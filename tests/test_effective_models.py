@@ -143,6 +143,20 @@ class TestAnalyticTransfer:
         assert p.max() <= cap + 1e-12
         assert p.max() == pytest.approx(cap, rel=1e-3)
 
+    @pytest.mark.parametrize("detuning, cap", [(0.0, 1.0), (1e-300, 1.0), (4e-170, 0.2)])
+    def test_underflowing_coupling_gives_the_scaled_curve(self, detuning, cap):
+        # g^2 = 1e-340 underflows to zero; the curve is that of g = 1e-10 and
+        # detuning * 1e160 at times / 1e160
+        tiny = TwoStateModel(coupling=1e-170, source="a", target="b", detuning=detuning)
+        scaled = TwoStateModel(coupling=1e-10, source="a", target="b", detuning=detuning * 1e160)
+        # the first maximum, at pi / (2 * sqrt(g^2 + delta^2/4)), is the cap
+        t = np.linspace(0.0, 2.0, 17) * np.pi / (2e-170 * np.sqrt(1.0 + (detuning / 2e-170)**2))
+        p = analytic_transfer(tiny, t)
+        assert np.all(np.isfinite(p))
+        np.testing.assert_allclose(p, analytic_transfer(scaled, t * 1e-160), rtol=1e-12,
+                                   atol=1e-15)
+        assert p[8] == pytest.approx(cap, rel=1e-12)
+
     @settings(max_examples=30, deadline=None)
     @given(
         g=st.floats(min_value=1e-4, max_value=1.0),

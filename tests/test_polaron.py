@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from usc_rabi import (
     ModelParams,
+    polaron,
     approx_ground_state,
     build_h_jc,
     build_h_rabi,
@@ -94,6 +97,37 @@ class TestFixedPoint:
         xi, eta = self._plain_iteration(lam, omega0, 5000)
         assert abs(pol.eta - eta) < 1e-13 and abs(pol.xi - xi) < 1e-13
         assert abs(pol.eta - np.exp(-2.0 * lam**2 * pol.xi**2)) < 1e-15
+
+
+class TestFixedPointOnArrays:
+    """solve_xi_eta on an array of couplings against one call per coupling."""
+
+    # 1.25 at omega0 = 2 takes the Newton path, 0 converges at once
+    @pytest.mark.parametrize("omega0, couplings", [
+        (2.0, [1.25, 0.0, 1.2, 1.3, 0.5]),
+        (1.0, [0.0, 0.05, 0.5, 0.8, 3.0]),
+    ])
+    def test_matches_one_coupling_calls_bit_for_bit(self, omega0, couplings):
+        grid = ModelParams(omega0=omega0, coupling=np.array(couplings), drive_amp=0.3)
+        many = solve_xi_eta(grid)
+        amps = c10_approx(grid, many)
+        for k, lam in enumerate(couplings):
+            params = ModelParams(omega0=omega0, coupling=lam, drive_amp=0.3)
+            one = solve_xi_eta(params)
+            for name, value in dataclasses.asdict(one).items():
+                assert getattr(many, name)[k] == value, name
+            assert amps[k] == c10_approx(params, one)
+
+    def test_unsolved_coupling_raises_its_own_message(self, monkeypatch):
+        # after 3 steps 0 has converged and 1.25 and 0.5 have not: the
+        # message is the first unsolved coupling's one-coupling message
+        monkeypatch.setattr(polaron, "FIXED_POINT_MAX_ITER", 3)
+        with pytest.raises(ValueError) as one:
+            solve_xi_eta(ModelParams(omega0=2.0, coupling=1.25))
+        assert "fixed point did not converge at omega0=2, lambda=1.25: " in str(one.value)
+        with pytest.raises(ValueError) as many:
+            solve_xi_eta(ModelParams(omega0=2.0, coupling=np.array([0.0, 1.25, 0.5])))
+        assert str(many.value) == str(one.value)
 
 
 class TestGenerator:

@@ -43,10 +43,10 @@ propagate builds its own.  One of two integrators steps the blocks:
   factors is ever built (half a period when n_per is odd), in one pass that
   steps the identity through it.  Each sample is P_r applied to a segment
   start, forward, or backward by conjugation from the next one, with r at
-  most that quarter period, so it is read off a few probe rows of P_r
-  recorded by the pass: one product of those rows with the segment starts
-  and one with their conjugates give every sample.  Each half-step factor
-  exp(-i (dt/2)(H_static + gamma V)) is entire in the drive strength
+  most that quarter period, so it is read off the rows <f,1| P_r and
+  <f,3| P_r recorded by the pass: one product of those rows with the segment
+  starts and one with their conjugates give every sample.  Each half-step
+  factor exp(-i (dt/2)(H_static + gamma V)) is entire in the drive strength
   gamma, so the pass diagonalizes at a few Chebyshev nodes in gamma, as
   many as an interpolation bound needs to hold every factor to 1e-17, and
   forms each factor as a weighted sum of the node factors: at the default
@@ -67,8 +67,8 @@ propagate builds its own.  One of two integrators steps the blocks:
   eigendecomposition, so it is the oracle the folded period is tested
   against.
 
-Both read the same probe rows (<f,1|, <f,3| and the initial state) and pass
-the same norm-drift guard.
+Both read the same probe rows (<f,1| and <f,3|) and pass the same norm-drift
+guard.
 
 rabi_extract reads the Rabi frequency off a trace with a numpy peak finder.
 """
@@ -190,9 +190,8 @@ class TimeSeries:
     """Sampled observables of a propagation run.
 
     p_f1 and p_f3 are the populations of |f,1> and |f,3> (p_f3 is 0 below
-    n_max 3), and p_ground is the overlap probability with the initial
-    (dressed ground) state.  norm is the state norm on the step loop; on the
-    folded period it is the norm of the sample's segment-start column (see
+    n_max 3).  norm is the state norm on the step loop; on the folded period
+    it is the norm of the sample's segment-start column (see
     _propagate_sector).  The state is held on the driven parity sector
     alone, so no field measures a leak out of it: a Hamiltonian that couples
     the sectors is a ValueError of propagate.
@@ -201,7 +200,6 @@ class TimeSeries:
     times: np.ndarray
     p_f1: np.ndarray
     p_f3: np.ndarray
-    p_ground: np.ndarray
     norm: np.ndarray
 
 
@@ -238,7 +236,8 @@ class Sector:
     h_s     real sector block of static_hamiltonian
     v_s     real sector block of drive_operator
     s_sign  diagonal of S = diag(+1 on g, e; -1 on f) on the sector
-    probe   rows <f,1| and <f,3| on the sector (the second zero below n_max 3)
+    probe   rows <f,1| and <f,3| on the sector (the second zero below n_max 3),
+            the only rows of the state a propagation reads
 
     A ValueError when the blocks are not real, couple the sector to the
     rest of the space, or break S h_s S = h_s and S v_s S = -v_s (the f
@@ -364,7 +363,8 @@ def propagate(
     {|g,even>, |e,odd>, |f,odd>}: weight outside it raises
     StateOffSectorError naming the largest amplitude there.  Samples are
     taken every config.sample_every steps plus the final step; only the
-    observables of TimeSeries are kept, not the states.  Aborts with
+    populations of |f,1> and |f,3> and the norm are kept, not the states
+    (TimeSeries).  Aborts with
     NormDriftError naming the earliest sample whose norm leaves 1 +- norm_tol.
 
     sector is the Sector of params' drive-free model on space; one built
@@ -403,19 +403,14 @@ def propagate(
         )
 
     psi0 = initial[sector.mask]
-    probe = np.vstack([sector.probe, psi0.conj()])
     n_steps = step_count(config.t_end, config.dt)
     # sorted and distinct without np.unique, which imports numpy.ma on first use
     marks = np.append(np.arange(0, n_steps, config.sample_every), n_steps)
     n_per = _steps_per_period(params, config.dt)
     if n_per:
-        amps, norms, slack = _propagate_sector(
-            params, config.dt, sector, psi0, probe, marks, n_per
-        )
+        amps, norms, slack = _propagate_sector(params, config.dt, sector, psi0, marks, n_per)
     else:
-        amps, norms, slack = _step_loop(
-            params, config.dt, sector.h_s, sector.v_s, psi0, probe, marks
-        )
+        amps, norms, slack = _step_loop(params, config.dt, sector, psi0, marks)
 
     times = marks * config.dt
     drift = np.flatnonzero(np.abs(norms - 1.0) + slack > config.norm_tol)
@@ -427,8 +422,8 @@ def propagate(
             f"norm drifted to {norms[k]:.12f}{within} at t={times[k]:.4f} "
             f"(tolerance {config.norm_tol:g})"
         )
-    p_f1, p_f3, p_ground = np.abs(amps) ** 2
-    return TimeSeries(times=times, p_f1=p_f1, p_f3=p_f3, p_ground=p_ground, norm=norms)
+    p_f1, p_f3 = np.abs(amps) ** 2
+    return TimeSeries(times=times, p_f1=p_f1, p_f3=p_f3, norm=norms)
 
 
 def _steps_per_period(params: ModelParams, dt: float) -> int:
@@ -511,7 +506,6 @@ def _propagate_sector(
     dt: float,
     sector: Sector,
     psi0: np.ndarray,
-    probe: np.ndarray,
     marks: np.ndarray,
     n_per: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -538,14 +532,13 @@ def _propagate_sector(
     M^i P_s phi_i: forward, P_s applied to the start column c = phi_i when
     s <= ceil(L/2), and otherwise M^(i+1) conj(P_{L-s} c) with c =
     conj(phi_{i+1}).  So every sample is P_r c for some r <= ceil(L/2), and
-    what it reports is linear in P_r c: the pass records, at each r a sample
-    needs, the probe rows W P_r, with W the rows psi0^H, psi0^H S, <f,1|,
-    <f,3| of propagate and psi0^T, psi0^T S (M leaves |<f,n|...>| alone).
-    The segment starts that hold a sample are stacked as the columns of C.
-    A forward sample is an entry of (W_f P_r)_r C, with W_f the first four
-    rows, and a backward one an entry of (W_b P_r)_r conj(C), with W_b the
-    last four (the transposed ground rows read it by conjugation): two
-    products, read by one flat gather, in blocks of segment starts that keep
+    the pass records, at each r a sample needs, the probe rows W P_r, with W
+    the real basis rows <f,1| and <f,3| of sector.probe.  M only flips
+    signs, and |<f,n| conj(x)>| = |<f,n| x>|, so |<f,n| state>| is
+    |(W P_r c)_n| either way.  The segment starts that hold a sample are
+    stacked as the columns of C.  A forward sample is an entry of
+    (W P_r)_r C and a backward one an entry of (W P_r)_r conj(C): two
+    products, read by one gather, in blocks of segment starts that keep
     both tables under READ_BYTES.  The amplitudes returned at the sample
     steps marks are the probe overlaps up to a phase.
 
@@ -622,14 +615,9 @@ def _propagate_sector(
     # it is P_at applied to the start column of phi_base, conjugated when `back`
     seg = np.maximum(marks - 1, 0) // n_seg
     s = marks - seg * n_seg
-    back = s > n_mid
+    back = (s > n_mid).astype(int)  # 1: read off the backward table
     base = seg + back
     at = np.where(back, n_seg - s, s)
-
-    # psi0^H, psi0^H S, <f,1|, <f,3|, psi0^T, psi0^T S: rows 0-3 read the
-    # forward samples, rows 2-5 the backward ones
-    ground = probe[2]
-    probe = np.vstack([ground, ground * m_sign, probe[:2], ground.conj(), ground.conj() * m_sign])
 
     # the pass: P_0 ... P_ceil(L/2), recording the probe rows and the defect at
     # every r a sample needs; then M P_L = P_ceil^T M P_floor
@@ -638,7 +626,7 @@ def _propagate_sector(
     # slot[r]: where the needed r keeps its probe rows
     slot = np.cumsum(needed) - 1
     n_rec = slot[-1] + 1
-    rows = np.empty((len(probe), n_rec, dim), dtype=complex)
+    rows = np.empty((2, n_rec, dim), dtype=complex)
     defect = np.zeros(n_mid + 1)
     eye = np.eye(dim)
     half = half_steps()
@@ -649,7 +637,7 @@ def _propagate_sector(
             p_lo, p = p, next(half) @ p
             p = next(half) @ p
         if needed[r]:
-            rows[:, slot[r]] = probe @ p
+            rows[:, slot[r]] = sector.probe @ p
             defect[r] = np.linalg.norm(p.conj().T @ p - eye)
     half.close()  # drops the node factors before the segment map
     if n_seg % 2 == 0:
@@ -670,44 +658,35 @@ def _propagate_sector(
             phi = seg_map @ phi
         phis[k], i = phi, start
 
-    # a sample's rows, counted over both tables stacked (forward: rows 0-3
-    # of probe, backward: rows 2-5, each over every recorded r): <f,1| and
-    # <f,3| of its r, and the ground overlap's psi0^H or psi0^T, times S for
-    # odd base; its column is which
-    fwd, bwd = rows[:4].reshape(-1, dim), rows[2:].reshape(-1, dim)
-    k = slot[at] + back * len(fwd)
-    row = np.stack([k + (2 - 2 * back) * n_rec, k + (3 - 2 * back) * n_rec,
-                    k + (2 * back + base % 2) * n_rec])
-    amps = np.empty((3, len(marks)), dtype=complex)
+    # sample j is entry (back[j], probe row, slot[at[j]], which[j]) of the
+    # forward and backward tables, each a product of every recorded row
+    flat = rows.reshape(-1, dim)
+    amps = np.empty((2, len(marks)), dtype=complex)
     # segment starts per block, each a column of both tables
-    per = max(1, READ_BYTES // (32 * len(fwd)))
+    per = max(1, READ_BYTES // (32 * len(flat)))
     for lo in range(0, len(starts), per):
         block = phis[lo : lo + per].T
-        tables = np.empty((2, len(fwd), block.shape[1]), dtype=complex)
-        np.matmul(fwd, block, out=tables[0])
-        np.matmul(bwd, block.conj(), out=tables[1])
+        tables = np.empty((2, len(flat), block.shape[1]), dtype=complex)
+        np.matmul(flat, block, out=tables[0])
+        np.matmul(flat, block.conj(), out=tables[1])
         j = slice(*np.searchsorted(which, [lo, lo + per]))
-        amps[:, j] = tables.ravel()[row[:, j] * block.shape[1] + which[j] - lo]
+        tables = tables.reshape(2, 2, n_rec, -1)
+        amps[:, j] = tables[back[j], :, slot[at[j]], which[j] - lo].T
 
     norms = np.linalg.norm(phis, axis=1)[which]
     return amps, norms, defect[at] * norms
 
 
 def _step_loop(
-    params: ModelParams,
-    dt: float,
-    h_s: np.ndarray,
-    v_s: np.ndarray,
-    psi0: np.ndarray,
-    probe: np.ndarray,
-    marks: np.ndarray,
+    params: ModelParams, dt: float, sector: Sector, psi0: np.ndarray, marks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CF4 on the sector blocks h_s, v_s one step at a time, each exponential by Taylor.
+    """CF4 on the blocks h_s, v_s of sector one step at a time, each exponential by Taylor.
 
     Makes no eigendecomposition, so it is the oracle the folded period is
-    tested against.  Returns the probe amplitudes and the state norm at the
-    sample steps marks, and zero slack.
+    tested against.  Returns the <f,1| and <f,3| amplitudes and the state
+    norm at the sample steps marks, and zero slack.
     """
+    h_s, v_s = sector.h_s, sector.v_s
     # spectral-norm bound on the Hamiltonian of a half-step factor, each
     # drive strength being at most 2 (x2 - x1) drive_amp: its substeps of
     # norm at most _TAYLOR_THETA take the Taylor degree their bound needs
@@ -716,7 +695,7 @@ def _step_loop(
     order = _taylor_order(h_norm * (dt / 2.0) / n_sub)
     h_c = h_s.astype(complex)
 
-    amps = np.empty((len(probe), len(marks)), dtype=complex)
+    amps = np.empty((2, len(marks)), dtype=complex)
     norms = np.empty(len(marks))
     psi, done = psi0, 0
     for j, mark in enumerate(marks):
@@ -726,7 +705,7 @@ def _step_loop(
                     (h_c + gamma * v_s).__matmul__, dt / 2.0, psi, n_sub, order
                 )
         done = mark
-        amps[:, j] = probe @ psi
+        amps[:, j] = sector.probe @ psi
         norms[j] = np.linalg.norm(psi)
     return amps, norms, np.zeros(len(marks))
 

@@ -783,9 +783,12 @@ class TestBatchedSweep:
     """fig2-sweep's chunked grid solve against the same sweep one coupling at a time."""
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_chunk_boundary_rows_are_the_full_spectrum_pairs(self, tmp_path, extra):
+    def test_chunk_boundary_rows_are_the_full_spectrum_pairs(self, tmp_path, monkeypatch, extra):
+        # chunks of five couplings: the grid fills two exactly, or spills one into a third
         n_max = 30
-        steps = presets._sweep_chunk(n_max) + extra
+        monkeypatch.setattr(presets, "_CHUNK_BYTES", 5 * 8 * (2 * n_max + 1))
+        assert presets._sweep_chunk(n_max) == 5
+        steps = 2 * presets._sweep_chunk(n_max) + extra
         cfg = _sweep_config(tmp_path, 0.0, 1.5, steps, n_max)
         cols = run_preset(cfg).columns
         assert len(cols["lambda"]) == steps
@@ -999,7 +1002,7 @@ polaron.transformed_h_rabi(params, pol, space)
 t = np.linspace(0.0, 300.0, 3000)
 p = np.sin(0.02 * t) ** 2
 assert not dynamics.rabi_extract(dynamics.TimeSeries(
-    times=t, p_f1=p, p_f3=p, p_ground=p, norm=p)).flagged
+    times=t, p_f1=p, p_f3=p, norm=p)).flagged
 new["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(new))
 """

@@ -2,7 +2,7 @@ import math
 import re
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -169,7 +169,6 @@ class TestPropagate:
         series = propagate(params, make_space(N_SMALL, 3), cfg, initial)
         assert np.max(series.p_f1) < 1e-20
         assert np.max(series.p_f3) < 1e-20
-        assert np.max(np.abs(series.p_ground - 1.0)) < 1e-10
 
     def test_norm_conserved(self, small_setup):
         base, _, initial, omega_p = small_setup
@@ -177,7 +176,6 @@ class TestPropagate:
         cfg = default_config(params, t_end=40.0)
         series = propagate(params, make_space(N_SMALL, 3), cfg, initial)
         assert np.max(np.abs(series.norm - 1.0)) < 1e-9
-        assert series.p_ground[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series.p_f1 >= 0.0) and np.all(series.p_f1 <= 1.0)
 
     def test_step_halving_pointwise(self, small_setup):
@@ -273,9 +271,6 @@ class TestPropagate:
             propagate(params, space3, PropagationConfig(t_end=1.0, dt=1.01 * bound), initial)
 
 
-FIELDS = ("times", "p_f1", "p_f3", "p_ground", "norm")
-
-
 def _sector_mask(space):
     """{|g,even>, |e,odd>, |f,odd>}: the parity sector the drive keeps closed."""
     mask = np.zeros(space.dim, dtype=bool)
@@ -290,7 +285,7 @@ def _embedded_ground(base, n_max):
 
 
 def _fields(series):
-    return {f: getattr(series, f) for f in FIELDS}
+    return {f.name: getattr(series, f.name) for f in fields(TimeSeries)}
 
 
 def _refuse(*args, **kwargs):
@@ -375,10 +370,10 @@ class TestSectorFloquet:
 
     @pytest.mark.parametrize("n_per", [200, 201, 202, 400])
     def test_matches_step_loop_from_f_weighted_state(self, small_setup, monkeypatch, n_per):
-        # S = diag(+1 on g, e; -1 on f) and the conjugation of the mirrored
-        # samples act on the f rows and the phases; p_ground is the only output
-        # they reach, and it sees them only when the initial state has f weight
-        # and complex phases
+        # a start state with f weight and complex phases, where the ground
+        # state has neither: p_f1 and p_f3 see it through the conjugated start
+        # column of a mirrored sample and the S = diag(+1 on g, e; -1 on f)
+        # inside seg_map; no output reads its overlap with the start state
         base, _, _, omega_p = small_setup
         params = _driven(base, 0.3, omega_p)
         space = make_space(N_SMALL, 3)
@@ -396,21 +391,28 @@ class TestSectorFloquet:
             assert np.max(np.abs(got[name] - oracle[name])) < 1e-10, name
 
     @pytest.mark.parametrize("n_per", [200, 200.5])   # the folded period, the step loop
-    @pytest.mark.parametrize("amp", [0.2, 0.8])
-    def test_matches_dense_full_space_cf4(self, monkeypatch, n_per, amp):
+    @pytest.mark.parametrize("amp, n_max", [
+        pytest.param(0.2, 8, id="0.2"),
+        pytest.param(0.8, 8, id="0.8"),
+        pytest.param(0.2, 1, id="0.2-n_max1"),   # |f,3> is outside the space below n_max 3
+        pytest.param(0.2, 2, id="0.2-n_max2"),
+    ])
+    def test_matches_dense_full_space_cf4(self, monkeypatch, n_per, amp, n_max):
         # CF4 on the full 3-level space, each factor a dense eigendecomposition
         # of the two Gauss-node Hamiltonians: no sector, no Taylor series
         base = ModelParams(omega0=1.0, coupling=0.5, omega_f=3.0)
-        spec = solve_spectrum(base, make_space(8, 2))
+        spec = solve_spectrum(base, make_space(n_max, 2))
         omega_p = resonance_frequency(base, spec.ground_energy)
         params = _driven(base, amp, omega_p)
-        space = make_space(8, 3)
+        space = make_space(n_max, 3)
         initial = embed_ground_state(ground_state(spec)[0])
         period = 2.0 * np.pi / omega_p
         cfg = PropagationConfig(t_end=3.3 * period, dt=period / n_per, sample_every=3)
         monkeypatch.setattr(dynamics, "_step_loop" if n_per == 200 else "_propagate_sector",
                             _refuse)
         got = _fields(propagate(params, space, cfg, initial))
+        if n_max < 3:
+            assert np.all(got["p_f3"] == 0.0)
 
         dt = cfg.dt
         x1, x2 = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
@@ -420,17 +422,17 @@ class TestSectorFloquet:
             w, q = np.linalg.eigh(h)
             return (q * np.exp(-1j * dt * w)) @ q.conj().T
 
+        f = [space.index("f", n) for n in (1, 3) if n <= n_max]
         n_steps = dynamics.step_count(cfg.t_end, dt)
         psi, want = initial, []
         for k in range(n_steps + 1):
             if k % 3 == 0 or k == n_steps:
-                want.append((abs(psi[space.index("f", 1)]) ** 2,
-                             abs(psi[space.index("f", 3)]) ** 2,
-                             abs(np.vdot(initial, psi)) ** 2, np.linalg.norm(psi)))
+                p_f = np.abs(psi[f]) ** 2
+                want.append((p_f[0], p_f[1] if n_max >= 3 else 0.0, np.linalg.norm(psi)))
             h1 = build_h_full(params, space, k * dt + c1 * dt)
             h2 = build_h_full(params, space, k * dt + c2 * dt)
             psi = exp_step(x1 * h1 + x2 * h2) @ (exp_step(x2 * h1 + x1 * h2) @ psi)
-        want = dict(zip(("p_f1", "p_f3", "p_ground", "norm"), np.array(want).T))
+        want = dict(zip(("p_f1", "p_f3", "norm"), np.array(want).T))
         assert len(got["times"]) == len(want["norm"])
         for name in want:
             assert np.max(np.abs(got[name] - want[name])) < 1e-10, name
@@ -641,7 +643,7 @@ class TestSectorFloquet:
         space = make_space(N_SMALL, 3)
         a = _fields(propagate(params, space, cfg, initial))
         b = _fields(propagate(params, space, cfg, initial))
-        assert all(np.array_equal(a[name], b[name]) for name in FIELDS)
+        assert all(np.array_equal(a[name], b[name]) for name in a)
 
     def test_norm_drift_names_earliest_sample(self, small_setup, monkeypatch):
         # node factors inflated by 1e-5, so the segment map, though polished
@@ -708,7 +710,6 @@ class TestSectorFloquet:
         cfg = PropagationConfig(t_end=3.0, dt=dt, sample_every=3, norm_tol=1e-7)
         monkeypatch.setattr(dynamics, "_propagate_sector", _refuse)
         series = propagate(params, space, cfg, initial)
-        assert series.p_ground[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(series.norm - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("n_per", [200, 200.5])
@@ -792,7 +793,7 @@ class TestHalfStepNodes:
         monkeypatch.undo()
         slow = _on_step_loop(monkeypatch, *seen["args"])
         return max(np.max(np.abs(getattr(seen["series"], f) - getattr(slow, f)))
-                   for f in ("p_f1", "p_f3", "p_ground", "norm"))
+                   for f in ("p_f1", "p_f3", "norm"))
 
     @staticmethod
     def _worst_gap(seen) -> float:
@@ -897,7 +898,7 @@ class TestHalfStepNodes:
         assert space.n_max == 40
         assert dynamics._steps_per_period(params, prop.dt) == 200
         slow = _on_step_loop(monkeypatch, *args)
-        for name in ("p_f1", "p_ground", "norm"):
+        for name in ("p_f1", "norm"):
             assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 5e-13, name
 
 
@@ -950,9 +951,7 @@ def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):
     p = np.sin(g * t) ** 2
     if ripple:
         p = np.clip(p + ripple * np.sin(ripple_freq * t) ** 2, 0.0, 1.0)
-    return TimeSeries(
-        times=t, p_f1=p, p_f3=np.zeros_like(t), p_ground=1.0 - p, norm=np.ones_like(t)
-    )
+    return TimeSeries(times=t, p_f1=p, p_f3=np.zeros_like(t), norm=np.ones_like(t))
 
 
 class TestRabiExtract:
@@ -983,8 +982,7 @@ class TestRabiExtract:
         # the first maximum is the first sample, t = 0: no half period to time
         t = np.linspace(0.0, 10.0, 500)
         p = np.exp(-t)
-        series = TimeSeries(times=t, p_f1=p, p_f3=np.zeros_like(t), p_ground=1.0 - p,
-                            norm=np.ones_like(t))
+        series = TimeSeries(times=t, p_f1=p, p_f3=np.zeros_like(t), norm=np.ones_like(t))
         feat = rabi_extract(series)
         assert feat.flagged and feat.max_p == 1.0
         assert np.isnan(feat.t_half) and np.isnan(feat.freq_fit)

@@ -8,7 +8,6 @@ configuration.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -272,10 +271,11 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
 
     One row per coupling grid point, read off the ground pair alone.  The grid
     is solved as arrays in chunks of _sweep_chunk couplings (one at the
-    defaults): rabi_core.ground_levels stacks a chunk's n_max chains,
-    _references certifies them at once and solves the points it leaves open
-    at 2*n_max as one more stack, and polaron.solve_xi_eta takes the chunk
-    as one array.  Every value is bit for bit the one-coupling one.  The
+    defaults): rabi_core.ground_levels stacks a chunk's n_max chains and
+    shares their eigh sub-stacks with a second thread, _references
+    certifies them at once and solves the points it leaves open at 2*n_max
+    as one more stack, and polaron.solve_xi_eta takes the chunk as one
+    array.  Every value is bit for bit the one-coupling one.  The
     points that can fail (a degenerate level, an open guard) are judged in
     grid order up to the first that does, and the fixed points solved up to
     it, so the first failure is the one a point-by-point sweep meets: a
@@ -423,10 +423,11 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     above 1e-6 under either refinement.  Both grids are checked before
     anything is propagated.  The 2*n_max run, the longest, runs on the
     calling thread while a second thread runs the base and halved-step runs
-    on their shared dynamics.Sector; numpy drops the GIL in its linear
-    algebra, so the two overlap on two cores.  Each run is the serial one
-    bit for bit, and a failure is raised in the serial order: base, 2*n_max,
-    then halved step.  Pure computation; idempotent across runs.
+    on their shared dynamics.Sector (rabi_core.beside); numpy drops the GIL
+    in its linear algebra, so the two overlap on two cores.  Each run is the
+    serial one bit for bit, and a failure is raised in the serial order:
+    base, 2*n_max, then halved step.  Pure computation; idempotent across
+    runs.
     """
     # the 2*n_max ground pair is propagated too, so it is solved, not certified
     psi0_2n, lambda0_2n, gap_2n = rabi_core.ground_levels(
@@ -464,15 +465,14 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
         except BaseException as exc:  # raised on the calling thread, in serial order
             peaks["half" if "base" in peaks else "base"] = exc
 
-    worker = threading.Thread(target=base_runs)
-    worker.start()
-    try:
-        peaks["2n"] = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
-                           dynamics.embed_ground_state(psi0_2n), base_prop)
-    except Exception as exc:
-        peaks["2n"] = exc
-    finally:
-        worker.join()
+    def refined_run() -> None:
+        try:
+            peaks["2n"] = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
+                               dynamics.embed_ground_state(psi0_2n), base_prop)
+        except Exception as exc:
+            peaks["2n"] = exc
+
+    rabi_core.beside(base_runs, refined_run)
     for name in ("base", "2n", "half"):  # the serial order
         if isinstance(peaks[name], BaseException):
             raise peaks[name]
@@ -543,8 +543,11 @@ def run_two_state_compare(cfg: ExperimentConfig) -> PresetResult:
             "dt": prop.dt,
             "g_eigenbasis": eig_model.coupling,
             "g_polaron": pol_model.coupling,
-            "coupling_rel_gap": abs(eig_model.coupling - pol_model.coupling)
-            / max(eig_model.coupling, 1e-300),
+            # undefined where LAPACK deflated the chain and g_eigenbasis is 0
+            "coupling_rel_gap": (
+                abs(eig_model.coupling - pol_model.coupling) / max(eig_model.coupling, 1e-300)
+                if eig_model.coupling else float("nan")
+            ),
             "supnorm_gap_eigenbasis": float(np.max(np.abs(series.p_f1 - p_eig))),
         }
     )

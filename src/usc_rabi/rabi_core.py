@@ -28,16 +28,20 @@ chain, so an n_max pair is a trial pair of the larger chain whose residual
 is known, and two Sturm counts turn the residual into bounds on E0 and
 every |c_n0|.  The truncation guard solves its 2*n_max reference with
 ground_levels only where those bounds do not settle it.  The chains of all
-couplings are one stack, solved by eigh STACK_BYTES at a time (numpy solves
-a stack one matrix at a time with the same LAPACK call, so every pair is
-bit for bit the one-coupling one), and each Sturm count runs its recurrence
-site by site on arrays over the couplings.
+couplings are one stack, solved by eigh STACK_BYTES at a time, the
+sub-stacks shared between this thread and a second one (beside), since
+numpy drops the GIL in LAPACK; numpy solves a stack one matrix at a time
+with the same LAPACK call, so every pair is bit for bit the one-coupling
+one on either thread.  Each Sturm count runs its recurrence site by site
+on arrays over the couplings.
 build_h_rabi is the full-space matrix the dynamics and the polaron frame work
 with.
 """
 
 from __future__ import annotations
 
+import collections
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,16 +281,17 @@ def ground_levels(
     """(psi_0, E0, gap) at every coupling of `coupling`, one coupling or a 1-d array.
 
     psi_0 has shape coupling.shape + (dim,), E0 and gap coupling.shape.  The
-    +1 chains of all couplings are solved as stacks (_lowest): numpy solves a
-    stack one matrix at a time with the same LAPACK call, so each pair is bit
-    for bit what ground_state(solve_spectrum(...)) gives.  The -1 chains get
-    one Sturm count (_count_below) of their levels below E0 + GROUND_GAP_TOL,
-    on arrays over the couplings.  Only the -1 chains that count a level
-    there (a coarse truncation or deep coupling puts the -1 chain lower or
-    within the tolerance) are solved too, and the lower of the two chains
-    gives the level.  gap is the distance to the next level of either chain;
-    below GROUND_GAP_TOL the level is degenerate (require_gap), which the
-    caller judges.
+    +1 chains of all couplings are solved as stacks (_lowest), shared between
+    this thread and a second one when there is more than one stack: numpy
+    solves a stack one matrix at a time with the same LAPACK call, so each
+    pair is bit for bit what ground_state(solve_spectrum(...)) gives.  The
+    -1 chains get one Sturm count (_count_below) of their levels below
+    E0 + GROUND_GAP_TOL, on arrays over the couplings.  Only the -1 chains
+    that count a level there (a coarse truncation or deep coupling puts the
+    -1 chain lower or within the tolerance) are solved too, and the lower of
+    the two chains gives the level.  gap is the distance to the next level
+    of either chain; below GROUND_GAP_TOL the level is degenerate
+    (require_gap), which the caller judges.
     """
     if space.atom_levels != 2:
         raise ValueError("the Rabi spectrum is defined on the two-level (g, e) space")
@@ -312,19 +317,65 @@ def _lowest(
     """Two lowest levels and the full-space lowest eigenvector of every chain (diag, off).
 
     off holds one chain or a 1-d stack of them; eigh solves the stack
-    STACK_BYTES of matrices at a time.  rows are the chain sites'
-    full-space rows; each eigenvector's phase is fixed there (_fix_phases).
+    STACK_BYTES of matrices at a time.  With more than one such sub-stack,
+    this thread and a second one (beside) each take the next sub-stack from
+    one queue until none is left, so a thread slowed by a busy core takes
+    fewer, and each writes only the rows of the results its sub-stacks
+    own; one sub-stack, which covers every one-coupling call, starts no
+    thread.  Each sub-stack is the same eigh call on either thread, so the
+    results are bit for bit the serial ones.  rows are the chain sites'
+    full-space rows; each eigenvector's phase is fixed there (_fix_phases),
+    after the join.
     """
     n = diag.size
     w = np.empty(off.shape[:-1] + (2,))
     psi = np.zeros(off.shape[:-1] + (dim, 1))
     step = max(1, STACK_BYTES // (8 * n * n))
     parts = [()] if off.ndim == 1 else [slice(k, k + step) for k in range(0, len(off), step)]
-    for s in parts:
-        levels, v = np.linalg.eigh(_chain_matrix(diag, off[s]))
-        w[s] = levels[..., :2]
-        psi[s][..., rows, 0] = v[..., 0]
+    todo = collections.deque(parts)  # popleft is thread-safe
+
+    def solve() -> None:
+        while True:
+            try:
+                s = todo.popleft()
+            except IndexError:  # every sub-stack is taken
+                return
+            levels, v = np.linalg.eigh(_chain_matrix(diag, off[s]))
+            w[s] = levels[..., :2]
+            psi[s][..., rows, 0] = v[..., 0]
+
+    if len(parts) == 1:
+        solve()
+    else:
+        beside(solve, solve)
     return w, _fix_phases(psi)[..., 0]
+
+
+def beside(work, main) -> None:
+    """Run work() on a second thread while main() runs on this one.
+
+    numpy drops the GIL in its BLAS and LAPACK calls, so two such loads
+    overlap on two cores.  The thread is joined before this returns or
+    raises.  An exception work raised is raised here after the join, unless
+    main raised one first; a caller that needs another order catches inside
+    work and main itself.
+    """
+    failed: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            work()
+        except BaseException as exc:  # raised on the calling thread below
+            failed.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        main()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def certify_grounds(

@@ -169,6 +169,23 @@ class TestCliRuns:
             assert c10 == dressed_amplitude(spec, 1).real
             assert energy == spec.ground_energy
 
+    def test_fig2_sweep_joins_its_second_thread(self, tmp_path, monkeypatch):
+        # 20 couplings at n_max 30 are three eigh stacks of 8 (STACK_BYTES),
+        # shared with a second thread
+        beside, calls = rabi_core.beside, []
+
+        def spy(work, main):
+            calls.append(work)
+            beside(work, main)
+
+        monkeypatch.setattr(rabi_core, "beside", spy)
+        raw = {"sweep_variable": "lambda", "sweep_start": 0.0, "sweep_stop": 1.5,
+               "sweep_steps": 20, "n_max": 30, "output_path": str(tmp_path / "f2.csv")}
+        threads = threading.active_count()
+        run_preset(build_config("fig2-sweep", raw))
+        assert threading.active_count() == threads
+        assert len(calls) == 1
+
     def test_fig3_evolve_runs_the_one_omega(self, tmp_path, capsys):
         # Omega alone is the one curve Omega_list = Omega gives, not the default list
         one, listed, out = tmp_path / "one.csv", tmp_path / "list.csv", tmp_path / "x.csv"
@@ -354,11 +371,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "l0b.csv")]) == 0
 
     def test_underflowing_coupling_writes_no_nan(self, tmp_path):
-        # at lambda 1e-170 both two-state couplings square to zero
+        # at lambda 1e-170 both two-state couplings square to zero; the
+        # relative coupling gap alone is undefined (test_deflated_chain_...)
         cfg = _write(tmp_path, "tiny.cfg", "lambda = 1e-170\nn_max = 8\nt_end = 5\n")
         out = tmp_path / "tiny.csv"
         assert main(["two-state-compare", "--config", str(cfg), "--out", str(out)]) in (0, 2, 3)
-        assert "nan" not in out.read_text(encoding="utf-8")
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert not [l for l in lines if "nan" in l and not l.startswith("# coupling_rel_gap")]
+
+    @pytest.mark.parametrize("coupling", ["1e-170", "1e-150"])
+    def test_deflated_chain_has_no_relative_coupling_gap(self, tmp_path, coupling):
+        # LAPACK deflates the chain's off-diagonals, so c10 and g_eigenbasis
+        # are exactly 0 and the gap relative to g_eigenbasis is undefined
+        cfg = _write(tmp_path, "tiny.cfg", f"lambda = {coupling}\nn_max = 8\nt_end = 3\n")
+        out = tmp_path / "tiny.csv"
+        assert main(["two-state-compare", "--config", str(cfg), "--out", str(out)]) == 0
+        header = out.read_text(encoding="utf-8")
+        assert "# g_eigenbasis = 0\n" in header and "# coupling_rel_gap = nan\n" in header
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,12 +147,16 @@ class TestGroundLevel:
         with pytest.raises(ValueError):
             ground_levels(1.0, 0.2, make_space(10, 3))
 
-    @pytest.mark.parametrize("extra", [None, 0, 1])
+    @pytest.mark.parametrize("extra", [None, 0, 1, "step+1"])
     @pytest.mark.parametrize("n_max", [4, 40])
     def test_stacks_are_the_full_spectrum_bit_for_bit(self, n_max, extra):
-        # one coupling, one eigh stack (STACK_BYTES) and one more; at n_max 4
-        # the -1 chain lies lower from lambda 3 on
+        # one coupling, one eigh stack (STACK_BYTES) and one more, and two
+        # stacks and one more: three sub-stacks, which the calling thread and
+        # the second one cannot share equally; at n_max 4 the -1 chain lies
+        # lower from lambda 3 on
         step = max(1, rabi_core.STACK_BYTES // (8 * (n_max + 1) ** 2))
+        if extra == "step+1":
+            extra = step + 1
         grid = np.linspace(0.0, 3.3, 1 if extra is None else step + extra)
         space = make_space(n_max, 2)
         psi, energy, gap = rabi_core.ground_levels(1.0, grid, space)
@@ -161,6 +167,30 @@ class TestGroundLevel:
             assert np.array_equal(psi[k], want[0]) and energy[k] == want[1]
             assert (gap[k] >= rabi_core.GROUND_GAP_TOL) == (
                 spec.eigenvalues[1] - spec.eigenvalues[0] >= rabi_core.GROUND_GAP_TOL)
+
+    def test_second_thread_failure_is_raised_on_the_caller(self, monkeypatch):
+        # eigh fails on the second thread; the calling thread holds its first
+        # sub-stack until then, so the second thread is sure to take one
+        eigh, caller, failed = np.linalg.eigh, threading.current_thread(), threading.Event()
+
+        def failing_eigh(a, *args, **kwargs):
+            if threading.current_thread() is not caller:
+                failed.set()
+                raise np.linalg.LinAlgError("second thread failed")
+            failed.wait(timeout=10.0)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        space = make_space(40, 2)
+        step = max(1, rabi_core.STACK_BYTES // (8 * space.n_photon**2))
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="second thread failed"):
+            ground_levels(1.0, np.linspace(0.0, 1.0, step + 1), space)
+        assert threading.active_count() == threads
+        # one sub-stack, one coupling or a whole stack, starts no thread
+        monkeypatch.setattr(rabi_core, "beside", None)
+        for grid in (0.5, np.linspace(0.0, 1.0, step)):
+            ground_levels(1.0, grid, space)
 
     def test_count_stacks_as_one_chain_at_a_time(self):
         space = make_space(40, 2)

@@ -116,7 +116,10 @@ _SWEEP_VARIABLES = {
 def parse_config_file(path: str | Path) -> dict:
     """Parse a key=value config file into a dict of typed values."""
     raw: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -198,6 +201,11 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"{_KEY_OF[name]} must be positive, got {value}")
     if cfg.omega_list is not None and any(o <= 0 for o in cfg.omega_list):
         raise ConfigError("Omega_list entries must be positive")
+    # fig3-evolve names each curve's columns by its amplitude's %g tag
+    tags = [f"{o:g}" for o in cfg.omega_list or ()]
+    shared = next((tag for tag in tags if tags.count(tag) > 1), None)
+    if shared is not None:
+        raise ConfigError(f"Omega_list entries share the column tag Omega{shared}")
     if cfg.sample_every is not None and cfg.sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {cfg.sample_every}")
     if preset == "resonance-scan" and cfg.drive_freq is not None:
@@ -207,20 +215,37 @@ def build_config(preset: str, raw: dict | None = None) -> ExperimentConfig:
         )
     size = largest_array_bytes(cfg)
     if size > MAX_ARRAY_BYTES:
+        what = f"n_max={cfg.n_max}"
+        if size == _sweep_bytes(cfg):
+            what = f"a {sweep.variable} sweep of sweep_steps={sweep.steps}"
         raise ConfigError(
-            f"n_max={cfg.n_max} needs a {size / 2**20:.4g} MiB array in {preset}, "
+            f"{what} needs a {size / 2**20:.4g} MiB array in {preset}, "
             f"over the {MAX_ARRAY_BYTES >> 20} MiB limit"
         )
+    if cfg.output_path:  # an empty one writes <preset>.csv
+        out = Path(cfg.output_path)
+        if out.is_dir():
+            raise ConfigError(f"output path {out} is a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"output path {out}: directory {out.parent} does not exist")
     return cfg
+
+
+def _sweep_bytes(cfg: ExperimentConfig) -> int:
+    """Bytes of cfg's sweep grid: 8 per point, 3 points per offset of a delta_omega_p scan."""
+    if cfg.sweep is None:
+        return 0
+    return 8 * cfg.sweep.steps * (3 if cfg.sweep.variable == "delta_omega_p" else 1)
 
 
 def largest_array_bytes(cfg: ExperimentConfig) -> int:
     """Bytes of the largest dense array cfg's preset allocates, from the config alone.
 
     The truncation guard's real 2*n_max chain; fig2-sweep's eigh stacks of
-    chains, up to rabi_core.STACK_BYTES; and the complex 3-level full-space
+    chains, up to rabi_core.STACK_BYTES; the complex 3-level full-space
     matrices of a propagation (static_hamiltonian, drive_operator), at
-    2*n_max for convergence-report's refined run.  Every other array that
+    2*n_max for convergence-report's refined run; and the sweep's grid of
+    points (_sweep_bytes).  Every other array that
     grows with n_max is smaller (solve_spectrum's real 2-level
     eigenvectors) or held to a fixed budget and not counted here:
     fig2-sweep's arrays over a chunk of couplings, about 1 MiB per
@@ -239,9 +264,9 @@ def largest_array_bytes(cfg: ExperimentConfig) -> int:
     n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
     chain2 = 8 * n2 * n2
     if cfg.preset == "fig2-sweep":
-        return max(chain2, rabi_core.STACK_BYTES)
+        return max(chain2, rabi_core.STACK_BYTES, _sweep_bytes(cfg))
     propagated = n2 if cfg.preset == "convergence-report" else n
-    return max(chain2, 16 * (3 * propagated) ** 2)
+    return max(chain2, 16 * (3 * propagated) ** 2, _sweep_bytes(cfg))
 
 
 def load_experiment(

@@ -70,78 +70,75 @@ def _checked(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _require_gap(coupling: float, n_max: int, gap: float) -> None:
-    """rabi_core.require_gap; a degenerate level is a config error naming lambda and n_max."""
+def _degenerate(coupling: float, n_max: int, gap: float) -> ConfigError | None:
+    """A degenerate ground level at n_max (rabi_core.require_gap): a config error naming lambda."""
     try:
         rabi_core.require_gap(float(gap))
     except ValueError as exc:
-        raise ConfigError(f"{exc} at lambda={coupling:g}, n_max={n_max}") from exc
+        return ConfigError(f"{exc} at lambda={coupling:g}, n_max={n_max}")
+    return None
 
 
-def _references(omega0: float, coupling, n_max: int, ground: tuple) -> dict:
-    """The 2*n_max ground pair (psi_0, E0, gap) of each coupling the guard leaves open.
+def _judge_grounds(
+    omega0: float, coupling, n_max: int, levels: tuple, photons: tuple[int, ...] = (1,)
+) -> tuple[int, Exception] | None:
+    """The first coupling, in grid order, whose n_max ground pair fails, with its error.
 
-    coupling is one coupling or a 1-d array, and ground = (psi_0, E0) its
-    n_max pairs, shaped as rabi_core.ground_levels returns them.
-    rabi_core.certify_grounds settles the truncation guard from the n_max
-    pairs and two Sturm counts wherever its bounds on both moves are within
-    GUARD_TOL; the couplings it leaves open are solved at 2*n_max as one
-    stack (ground_levels).  Keyed by the open couplings' indices, 0 for one
-    coupling.
+    coupling is one coupling or a 1-d array, and levels = (psi_0, E0, gap)
+    its n_max pairs, shaped as rabi_core.ground_levels returns them.  Each
+    coupling is judged in one order:
+      - its n_max level must not be degenerate (_degenerate);
+      - nor its 2*n_max reference level;
+      - its ground energy and |c_n0| for every n in photons (by default the
+        single-virtual-photon amplitude) must each move by at most GUARD_TOL
+        at 2*n_max, else a ConvergenceGuardError naming lambda.
+    rabi_core.certify_grounds settles the last two from the n_max pairs and
+    two Sturm counts wherever its bounds on both moves are within GUARD_TOL;
+    the couplings it leaves open, if any, are solved at 2*n_max as one stack
+    (ground_levels).  Returns (index, error), index 0 for one coupling, or
+    None when every coupling passes.
     """
+    psi, energy, gap = levels
     space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-    bounds, _ = rabi_core.certify_grounds(omega0, coupling, space, ground, space2, GUARD_TOL)
+    bounds, _ = rabi_core.certify_grounds(omega0, coupling, space, (psi, energy), space2, GUARD_TOL)
+    lams = np.atleast_1d(coupling)
     open_ = np.flatnonzero(np.isnan(bounds))
-    if not open_.size:
-        return {}
-    refs = rabi_core.ground_levels(omega0, np.atleast_1d(coupling)[open_], space2)
-    return dict(zip(open_, zip(*refs)))
-
-
-def _guard_ground(
-    params: ModelParams,
-    n_max: int,
-    ground: tuple[np.ndarray, float],
-    ref: tuple[np.ndarray, float, float],
-    label: str = "",
-    photons: tuple[int, ...] = (1,),
-) -> None:
-    """Reject the n_max ground pair `ground` = (psi_0, E0) if it moves at 2*n_max.
-
-    ref = (psi_0, E0, gap) is the 2*n_max ground pair (_references).  A
-    ground level degenerate there is a config error.  Otherwise the ground
-    energy and |c_n0| for every n in `photons` (by default the
-    single-virtual-photon amplitude) must each move by at most 1e-8.
-    """
-    psi, energy = ground
-    psi2, energy2, gap2 = ref
-    _require_gap(params.coupling, 2 * n_max, gap2)
-    space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-    d_energy = abs(energy - energy2)
-    d_amps = {
-        n: abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
-        for n in photons
-    }
-    if d_energy > GUARD_TOL or max(d_amps.values()) > GUARD_TOL:
-        where = f" at {label}" if label else ""
-        moved = ", ".join(f"amplitude c{n}0 moved {d:.3e}" for n, d in d_amps.items())
-        raise ConvergenceGuardError(
-            f"truncation n_max={n_max} not converged{where}: "
-            f"ground energy moved {d_energy:.3e}, {moved}"
-        )
+    refs = {}
+    if open_.size:
+        refs = dict(zip(open_, zip(*rabi_core.ground_levels(omega0, lams[open_], space2))))
+    psi, energy, gap = np.reshape(psi, (lams.size, -1)), np.atleast_1d(energy), np.atleast_1d(gap)
+    for k in sorted({*np.flatnonzero(gap < rabi_core.GROUND_GAP_TOL), *refs}):
+        lam = float(lams[k])
+        error = _degenerate(lam, n_max, gap[k])
+        if error is None and k in refs:
+            psi2, energy2, gap2 = refs[k]
+            error = _degenerate(lam, 2 * n_max, gap2)
+            d_energy = abs(energy[k] - energy2)
+            d_amps = {
+                n: abs(abs(psi[k, space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
+                for n in photons
+            }
+            if error is None and (d_energy > GUARD_TOL or max(d_amps.values()) > GUARD_TOL):
+                moved = ", ".join(f"amplitude c{n}0 moved {d:.3e}" for n, d in d_amps.items())
+                error = ConvergenceGuardError(
+                    f"truncation n_max={n_max} not converged at lambda={lam:g}: "
+                    f"ground energy moved {d_energy:.3e}, {moved}"
+                )
+        if error is not None:
+            return k, error
+    return None
 
 
 def guarded_spectrum(
     params: ModelParams, n_max: int, photons: tuple[int, ...] = (1,)
 ) -> rabi_core.SpectrumResult:
-    """Diagonalize at n_max; reject if its ground pair moves at 2*n_max (_guard_ground).
-
-    A converged ground pair is certified without solving at 2*n_max (_references).
-    """
+    """Diagonalize at n_max; raise what _judge_grounds finds wrong with its ground pair."""
     spec = rabi_core.solve_spectrum(params, make_space(n_max, 2))
-    ground = (spec.eigenvectors[:, 0], spec.ground_energy)
-    for ref in _references(params.omega0, params.coupling, n_max, ground).values():
-        _guard_ground(params, n_max, ground, ref, photons=photons)
+    w = spec.eigenvalues
+    failed = _judge_grounds(params.omega0, params.coupling, n_max,
+                            (spec.eigenvectors[:, 0], spec.ground_energy, w[1] - w[0]), photons)
+    if failed:
+        raise failed[1]
     return spec
 
 
@@ -166,8 +163,8 @@ def _resolve(
     """Params, truncation-guarded spectrum, resonance, polaron frame and start state.
 
     drive_amp defaults to the config's Omega, else the preset's default.
-    photons None solves the n_max spectrum without guarding it; the caller
-    judges its truncation itself.
+    photons None solves the n_max spectrum without judging it
+    (guarded_spectrum); the caller judges its ground level itself.
     """
     drive_amp = drive_amp or cfg.drive_amp or _DEFAULT_DRIVE_AMP[cfg.preset]
     params = ModelParams(
@@ -178,12 +175,11 @@ def _resolve(
     else:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
     omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec.ground_energy)
-    psi0, _ = _checked(rabi_core.ground_state, spec)
     return _Run(
         params=replace(params, drive_freq=omega_p),
         spec=spec,
         pol=_checked(polaron.solve_xi_eta, params),
-        initial=dynamics.embed_ground_state(psi0),
+        initial=dynamics.embed_ground_state(spec.eigenvectors[:, 0]),
         space3=make_space(cfg.n_max, 3),
     )
 
@@ -237,7 +233,8 @@ def _grid_steps(prop: dynamics.PropagationConfig) -> int:
     would take an array over MAX_ARRAY_BYTES.
     """
     n_steps = _checked(dynamics.step_count, prop.t_end, prop.dt)
-    # propagate's (3, samples) complex array of the sampled amplitudes
+    # per sample, propagate's (2, samples) complex amplitudes (32 bytes) and
+    # its real norms and slack (8 each)
     size = 48 * (-(-n_steps // prop.sample_every) + 1)
     if size > MAX_ARRAY_BYTES:
         raise ConfigError(
@@ -255,33 +252,20 @@ def _sweep_chunk(n_max: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * (2 * n_max + 1)))
 
 
-def _judge_sweep_point(cfg: ExperimentConfig, lam, ground, gap, ref) -> None:
-    """Raise what a point-by-point fig2-sweep raises at lam before its polaron solve."""
-    params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-    _require_gap(params.coupling, cfg.n_max, gap)
-    if ref is not None:
-        try:
-            _guard_ground(params, cfg.n_max, ground, ref, label=f"lambda={lam:g}")
-        except ConvergenceGuardError as exc:
-            raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
-
-
 def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     """Virtual-photon amplitude versus coupling: exact against the closed form.
 
     One row per coupling grid point, read off the ground pair alone.  The grid
     is solved as arrays in chunks of _sweep_chunk couplings (one at the
     defaults): rabi_core.ground_levels stacks a chunk's n_max chains and
-    shares their eigh sub-stacks with a second thread, _references
-    certifies them at once and solves the points it leaves open at 2*n_max
-    as one more stack, and polaron.solve_xi_eta takes the chunk as one
-    array.  Every value is bit for bit the one-coupling one.  The
-    points that can fail (a degenerate level, an open guard) are judged in
-    grid order up to the first that does, and the fixed points solved up to
-    it, so the first failure is the one a point-by-point sweep meets: a
-    ground level degenerate at n_max or 2*n_max is a config error naming the
-    coupling and the truncation, a non-converged point aborts the sweep
-    (exit 2), and an unsolved polaron fixed point is a config error.
+    shares their eigh sub-stacks with a second thread, _judge_grounds
+    judges the chunk at once, and polaron.solve_xi_eta takes the chunk as
+    one array.  Every value is bit for bit the one-coupling one.  Where a
+    point fails, the fixed points before it are solved first, so the first
+    failure is the one a point-by-point sweep meets: a ground level
+    degenerate at n_max or 2*n_max is a config error naming the coupling and
+    the truncation, a non-converged point stops the sweep (exit 2), and an
+    unsolved polaron fixed point is a config error.
     """
     grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps)
     space = make_space(cfg.n_max, 2)
@@ -290,15 +274,13 @@ def run_fig2_sweep(cfg: ExperimentConfig) -> PresetResult:
     parts = []
     for lo in range(0, grid.size, chunk):
         lams = grid[lo : lo + chunk]
-        psi, energy, gap = rabi_core.ground_levels(cfg.omega0, lams, space)
-        refs = _references(cfg.omega0, lams, cfg.n_max, (psi, energy))
-        for k in sorted({*np.flatnonzero(gap < rabi_core.GROUND_GAP_TOL), *refs}):
-            try:
-                _judge_sweep_point(cfg, lams[k], (psi[k], energy[k]), gap[k], refs.get(k))
-            except (ConfigError, ConvergenceGuardError):
-                # an unsolved fixed point before the failing point fails first
-                _checked(polaron.solve_xi_eta, ModelParams(omega0=cfg.omega0, coupling=lams[:k]))
-                raise
+        psi, energy, _ = levels = rabi_core.ground_levels(cfg.omega0, lams, space)
+        failed = _judge_grounds(cfg.omega0, lams, cfg.n_max, levels)
+        if failed:
+            k, error = failed
+            # an unsolved fixed point before the failing point fails first
+            _checked(polaron.solve_xi_eta, ModelParams(omega0=cfg.omega0, coupling=lams[:k]))
+            raise error
         params = ModelParams(omega0=cfg.omega0, coupling=lams, omega_f=cfg.omega_f)
         pol = _checked(polaron.solve_xi_eta, params)
         parts.append((lams, psi[:, c10], polaron.c10_approx(params, pol), pol.xi, pol.eta,
@@ -421,7 +403,9 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     Writes its CSV, then raises ConvergenceGuardError when the ground energy
     moves above 1e-8 under truncation doubling or the peak transfer moves
     above 1e-6 under either refinement.  Both grids are checked before
-    anything is propagated.  The 2*n_max run, the longest, runs on the
+    anything is propagated, and so are its ground levels: the n_max one
+    and then the 2*n_max one must not be degenerate (_degenerate), as in
+    _judge_grounds.  The 2*n_max run, the longest, runs on the
     calling thread while a second thread runs the base and halved-step runs
     on their shared dynamics.Sector (rabi_core.beside); numpy drops the GIL
     in its linear algebra, so the two overlap on two cores.  Each run is the
@@ -429,12 +413,16 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     base, 2*n_max, then halved step.  Pure computation; idempotent across
     runs.
     """
+    run = _resolve(cfg, photons=None)
+    spec = run.spec
     # the 2*n_max ground pair is propagated too, so it is solved, not certified
     psi0_2n, lambda0_2n, gap_2n = rabi_core.ground_levels(
         cfg.omega0, cfg.coupling, make_space(2 * cfg.n_max, 2))
-    _require_gap(cfg.coupling, 2 * cfg.n_max, gap_2n)
-    run = _resolve(cfg, photons=None)
-    spec = run.spec
+    w = spec.eigenvalues
+    for error in (_degenerate(cfg.coupling, cfg.n_max, w[1] - w[0]),
+                  _degenerate(cfg.coupling, 2 * cfg.n_max, gap_2n)):
+        if error is not None:
+            raise error
     model = effective_models.model_from_eigenbasis(run.params, spec)
     # the horizon snapped to the base grid, so refined runs sample identical times
     base_prop = _prop_config(

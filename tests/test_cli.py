@@ -66,6 +66,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(path)
 
+    def test_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.cfg"
+        path.write_bytes(b"n_max = 8\xff\n")
+        with pytest.raises(ConfigError, match="latin.cfg: not UTF-8 text"):
+            parse_config_file(path)
+        assert main(["two-state-compare", "--config", str(path),
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert "config error: " in capsys.readouterr().err
+
 
 class TestBuildConfig:
     def test_default_sweep_injected(self):
@@ -101,6 +110,33 @@ class TestBuildConfig:
     def test_omega_list_restricted(self):
         with pytest.raises(ConfigError, match="Omega_list"):
             build_config("fig2-sweep", {"Omega_list": (0.2, 0.4)})
+
+    @pytest.mark.parametrize("omegas", ["0.2,0.4,0.2", "0.2,0.20000000001"])
+    def test_omega_list_tags_must_differ(self, tmp_path, capsys, omegas):
+        # each entry names its curve's columns by its %g tag, so a second
+        # entry with the same tag would overwrite the first one's columns
+        cfg = _write(tmp_path, "tag.cfg", f"Omega_list = {omegas}\n")
+        assert main(["fig3-evolve", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 3
+        assert "Omega_list entries share the column tag Omega0.2" in capsys.readouterr().err
+        assert build_config("fig3-evolve", {"Omega_list": (0.2, 0.200001)}).omega_list
+
+    @pytest.mark.parametrize("preset", ["two-state-compare", "fig2-sweep"])
+    @pytest.mark.parametrize("where", ["missing/o.csv", "."])
+    def test_unwritable_output_path_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                    preset, where):
+        from usc_rabi import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_preset", ran.append)
+        out = tmp_path / where
+        assert main([preset, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        want = "is a directory" if where == "." else f"directory {out.parent} does not exist"
+        assert want in err
+        assert ran == []
+        assert not (tmp_path / "missing").exists()
+        # an empty output_path still means <preset>.csv in the working directory
+        assert build_config(preset, {"output_path": ""}).output_path == ""
 
     def test_overrides(self, tmp_path):
         path = _write(tmp_path, "o.cfg", "n_max = 30\n")
@@ -549,12 +585,17 @@ class TestExitCodes:
         assert "fixed point did not converge at omega0=2, lambda=1.25: residuals (" in (
             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("preset", ["two-state-compare", "convergence-report"])
+    @pytest.mark.parametrize("preset", [
+        "fig3-evolve", "resonance-scan", "convergence-report", "two-state-compare"])
     def test_degenerate_ground_level_is_config_error(self, tmp_path, capsys, preset):
-        # at lambda = 4 the two parity ground levels meet to 1.4e-14
+        # at lambda = 4 the two parity ground levels meet to 1.4e-14 at
+        # n_max 80 and to 7.1e-15 at 160: every preset names the n_max level
+        # before its 2*n_max reference
         cfg = _write(tmp_path, "deg.cfg", "lambda = 4\nn_max = 80\nt_end = 1\n")
         assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "deg.csv")]) == 3
-        assert "ground level is degenerate within tolerance (gap " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ground level is degenerate within tolerance (gap " in err
+        assert ") at lambda=4, n_max=80" in err
 
     def test_ground_level_in_the_other_parity_chain_is_guard_failure(self, tmp_path, capsys):
         # at lambda = 2.5 the n_max = 6 truncation puts the ground level in the
@@ -667,21 +708,18 @@ class TestExitCodes:
 
 
 
-def _guard_outcome(params, n_max, ground, photons):
-    """None if the truncation guard passes, else its exception type and message."""
-    try:
-        for ref in presets._references(params.omega0, params.coupling, n_max, ground).values():
-            presets._guard_ground(params, n_max, ground, ref, label="grid", photons=photons)
-    except (ConvergenceGuardError, ConfigError) as exc:
-        return type(exc), str(exc)
-    return None
+def _guard_outcome(params, n_max, levels, photons):
+    """None if the truncation guard passes at one coupling, else its exception type and message."""
+    failed = presets._judge_grounds(params.omega0, params.coupling, n_max, levels, photons)
+    return None if failed is None else (type(failed[1]), str(failed[1]))
 
 
 def _n_max_ground(lam, n_max):
-    """The n_max ground pair as guarded_spectrum hands it to the guard."""
+    """The n_max (psi_0, E0, gap) as guarded_spectrum hands them to the guard."""
     params = ModelParams(omega0=1.0, coupling=lam)
     spec = solve_spectrum(params, make_space(n_max, 2))
-    return params, (spec.eigenvectors[:, 0], spec.ground_energy)
+    w = spec.eigenvalues
+    return params, (spec.eigenvectors[:, 0], spec.ground_energy, w[1] - w[0])
 
 
 class TestTruncationCertificate:
@@ -691,17 +729,18 @@ class TestTruncationCertificate:
     @pytest.mark.parametrize("n_max", [4, 8, 20, 40, 80])
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.8, 1.5, 3.6, 4.0])
     def test_guard_decides_as_the_exact_reference(self, monkeypatch, lam, n_max, photons):
-        params, ground = _n_max_ground(lam, n_max)
+        params, levels = _n_max_ground(lam, n_max)
         space, space2 = make_space(n_max, 2), make_space(2 * n_max, 2)
-        bounds = rabi_core.certify_grounds(params.omega0, lam, space, ground, space2, GUARD_TOL)
-        outcome = _guard_outcome(params, n_max, ground, photons)
+        bounds = rabi_core.certify_grounds(params.omega0, lam, space, levels[:2], space2,
+                                           GUARD_TOL)
+        outcome = _guard_outcome(params, n_max, levels, photons)
         # no certificate: every coupling is left to the exact reference
         monkeypatch.setattr(rabi_core, "certify_grounds", lambda omega0, coupling, *args: (
             np.full(np.shape(coupling), np.nan),) * 2)
-        assert _guard_outcome(params, n_max, ground, photons) == outcome
+        assert _guard_outcome(params, n_max, levels, photons) == outcome
         if np.isnan(bounds[0]):
             return
-        psi, energy = ground
+        psi, energy, _ = levels
         psi2, energy2, _ = rabi_core.ground_levels(params.omega0, lam, space2)
         moves = [abs(abs(psi[space.index("e", n)]) - abs(psi2[space2.index("e", n)]))
                  for n in range(n_max + 1)]
@@ -756,8 +795,8 @@ class TestTruncationCertificate:
     ])
     def test_undecided_guard_solves_the_reference(self, eigh_calls, lam, n_max, photons,
                                                   error):
-        params, ground = _n_max_ground(lam, n_max)
-        assert np.isnan(rabi_core.certify_grounds(1.0, lam, make_space(n_max, 2), ground,
+        params, levels = _n_max_ground(lam, n_max)
+        assert np.isnan(rabi_core.certify_grounds(1.0, lam, make_space(n_max, 2), levels[:2],
                                                   make_space(2 * n_max, 2), GUARD_TOL)).all()
         eigh_calls.clear()
         with pytest.raises(error):
@@ -776,15 +815,10 @@ def _pointwise_sweep(cfg):
     try:
         for lam in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.steps):
             params = ModelParams(omega0=cfg.omega0, coupling=float(lam), omega_f=cfg.omega_f)
-            psi, energy, gap = rabi_core.ground_levels(cfg.omega0, float(lam), space)
-            presets._require_gap(params.coupling, cfg.n_max, gap)
-            refs = presets._references(cfg.omega0, float(lam), cfg.n_max, (psi, energy))
-            try:
-                for ref in refs.values():
-                    presets._guard_ground(params, cfg.n_max, (psi, energy), ref,
-                                          label=f"lambda={lam:g}")
-            except ConvergenceGuardError as exc:
-                raise ConvergenceGuardError(f"fig2 sweep aborted: {exc}") from exc
+            psi, energy, _ = levels = rabi_core.ground_levels(cfg.omega0, float(lam), space)
+            failed = presets._judge_grounds(cfg.omega0, float(lam), cfg.n_max, levels)
+            if failed:
+                raise failed[1]
             pol = presets._checked(polaron.solve_xi_eta, params)
             rows.append([lam, psi[space.index("e", 1)], polaron.c10_approx(params, pol),
                          pol.xi, pol.eta, energy, pol.e_approx])
@@ -936,15 +970,42 @@ class TestArrayBound:
 
         # build_config itself rejects them
         cfgs = [dataclasses.replace(build_config(p), n_max=200000) for p in config.PRESETS]
+        # sweep grids: 6e6 offsets fit 128 MiB as one grid (48 MB) but not as
+        # three (144 MB); the default grids (41 and 5 points) and the
+        # benchmark's 161 couplings stay below the default n_max's arrays
+        sweep, scan = build_config("fig2-sweep"), build_config("resonance-scan")
+        grids = [dataclasses.replace(scan, sweep=dataclasses.replace(scan.sweep, steps=6_000_000)),
+                 dataclasses.replace(scan, sweep=config.SweepSpec("omega_p", 4.5, 4.7, 6_000_000)),
+                 sweep, dataclasses.replace(sweep, sweep=config.SweepSpec("lambda", 0.0, 0.8, 161)),
+                 scan]
         tracemalloc.start()
-        sizes = [config.largest_array_bytes(c) for c in cfgs]
+        sizes = [config.largest_array_bytes(c) for c in cfgs + grids]
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 1 << 16
         n, n2 = 200001, 400001
         full, full2 = 16 * (3 * n) ** 2, 16 * (3 * n2) ** 2
-        assert sizes == [8 * n2 * n2, full, full, full2, full]
-        assert min(sizes) > config.MAX_ARRAY_BYTES
+        assert sizes[:5] == [8 * n2 * n2, full, full, full2, full]
+        assert min(sizes[:5]) > config.MAX_ARRAY_BYTES
+        assert sizes[5:] == [144_000_000, 48_000_000, rabi_core.STACK_BYTES,
+                             rabi_core.STACK_BYTES, 16 * (3 * 41) ** 2]
+        assert sizes[6] < config.MAX_ARRAY_BYTES < sizes[5]
+
+    @pytest.mark.parametrize("preset, variable, start, stop", [
+        ("fig2-sweep", "lambda", 0.0, 0.8),
+        ("resonance-scan", "delta_omega_p", -0.06, 0.06),
+        ("resonance-scan", "omega_p", 4.5, 4.7)])
+    def test_sweep_grid_too_large_is_config_error(self, tmp_path, capsys, preset, variable,
+                                                  start, stop):
+        # a delta_omega_p scan has three points per offset, one per channel
+        steps = 100_000_000_000
+        size = 8 * steps * (3 if variable == "delta_omega_p" else 1)
+        cfg = _write(tmp_path, "grid.cfg", f"sweep_variable = {variable}\nsweep_start = {start}\n"
+                     f"sweep_stop = {stop}\nsweep_steps = {steps}\n")
+        assert main([preset, "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 3
+        assert (f"config error: a {variable} sweep of sweep_steps={steps} needs a "
+                f"{size / 2**20:.4g} MiB array in {preset}, over the 128 MiB limit"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("preset", ["two-state-compare", "convergence-report"])
     def test_is_the_propagated_full_space_matrix(self, preset):

@@ -11,7 +11,6 @@ from .config import ConfigError, ExperimentConfig, SweepSpec, build_config, load
 from .dynamics import (
     NormDriftError,
     PropagationConfig,
-    RabiFeatures,
     Sector,
     StateOffSectorError,
     TimeSeries,
@@ -19,7 +18,6 @@ from .dynamics import (
     default_config,
     embed_ground_state,
     propagate,
-    rabi_extract,
     resonance_frequency,
 )
 from .effective_models import (

@@ -69,8 +69,6 @@ propagate builds its own.  One of two integrators steps the blocks:
 
 Both read the same probe rows (<f,1| and <f,3|) and pass the same norm-drift
 guard.
-
-rabi_extract reads the Rabi frequency off a trace with a numpy peak finder.
 """
 
 from __future__ import annotations
@@ -709,78 +707,3 @@ def _step_loop(
         norms[j] = np.linalg.norm(psi)
     return amps, norms, np.zeros(len(marks))
 
-
-@dataclass(frozen=True)
-class RabiFeatures:
-    """Summary of a transfer-probability trace.
-
-    flagged is True when no oscillation was detected: the maximum is below 1
-    percent, or no peak follows the first sample (the trace falls from its
-    start).  t_half and freq_fit are NaN in that case.
-    """
-
-    max_p: float
-    t_half: float
-    freq_fit: float
-    flagged: bool
-
-
-def _find_peaks(x: np.ndarray, height: float, prominence: float) -> np.ndarray:
-    """Indices of the peaks of x at least `height` high and `prominence` prominent.
-
-    A run of equal samples above both neighbours is one peak, at its middle
-    sample; a run touching either end of x is none.  Prominence is the peak
-    minus the higher of its two bases, each the lowest sample between the peak
-    and the nearest strictly higher one on that side, or that end of x.
-    """
-    edges = np.flatnonzero(np.diff(x)) + 1
-    starts, ends = np.r_[0, edges], np.r_[edges - 1, len(x) - 1]
-    v = x[starts]
-    top = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]) & (v[1:-1] >= height)
-    peaks = (starts[1:-1][top] + ends[1:-1][top]) // 2
-    keep = np.zeros(len(peaks), dtype=bool)
-    for k, p in enumerate(peaks):
-        higher = np.r_[-1, np.flatnonzero(x > x[p]), len(x)]
-        j = np.searchsorted(higher, p)
-        base = max(x[higher[j - 1] + 1 : p + 1].min(), x[p : higher[j]].min())
-        keep[k] = x[p] - base >= prominence
-    return peaks[keep]
-
-
-def rabi_extract(series: TimeSeries) -> RabiFeatures:
-    """Extract peak transfer, time of first maximum, and the slow Rabi frequency.
-
-    The trace is smoothed over 1% of its samples to suppress the fast
-    counter-rotating ripple before peak finding; the dominant frequency comes
-    from the median peak-to-peak spacing (or from the first-maximum time when
-    the window holds a single peak).  A trace whose first maximum is its
-    first sample, falling from the start state, is flagged with NaN t_half
-    and freq_fit.
-    """
-    p = np.asarray(series.p_f1, dtype=float)
-    t = np.asarray(series.times, dtype=float)
-    max_p = float(p.max())
-    if max_p < 0.01:
-        return RabiFeatures(max_p=max_p, t_half=np.nan, freq_fit=np.nan, flagged=True)
-
-    window = max(1, len(p) // 100)
-    smooth = np.convolve(p, np.ones(window) / window, mode="same")
-
-    # prominence floor rejects ripple remnants that survive the smoothing
-    peaks = _find_peaks(smooth, height=0.5 * smooth.max(), prominence=0.25 * smooth.max())
-    if len(peaks) == 0:
-        peaks = np.array([int(np.argmax(smooth))])
-
-    first = int(peaks[0])
-    lo, hi = max(0, first - window), min(len(p), first + window + 1)
-    i_half = lo + int(np.argmax(p[lo:hi]))
-    t_half = float(t[i_half])
-
-    if len(peaks) >= 2:
-        spacing = float(np.median(np.diff(t[peaks])))
-        freq = 2.0 * np.pi / spacing
-    elif i_half == 0:
-        return RabiFeatures(max_p=max_p, t_half=np.nan, freq_fit=np.nan, flagged=True)
-    else:
-        freq = np.pi / t_half
-    return RabiFeatures(max_p=max_p, t_half=t_half, freq_fit=freq, flagged=False)

@@ -30,8 +30,6 @@ class TwoStateModel:
     """
 
     coupling: float
-    source: str
-    target: str
     detuning: float = 0.0
 
 
@@ -45,12 +43,7 @@ def model_from_polaron(params: ModelParams, polaron: PolaronParams) -> TwoStateM
     """Two-state model in the transformed frame: g = coupling*xi*omega_prime/(2 omega_c)."""
     g = params.coupling * polaron.xi * polaron.omega_prime / 2.0
     resonance = params.omega_f + 1.0 - polaron.e_approx
-    return TwoStateModel(
-        coupling=g,
-        source="dressed-ground",
-        target="f,1",
-        detuning=_detuning(params, resonance),
-    )
+    return TwoStateModel(coupling=g, detuning=_detuning(params, resonance))
 
 
 def model_from_eigenbasis(params: ModelParams, spectrum: SpectrumResult) -> TwoStateModel:
@@ -72,12 +65,7 @@ def multiphoton_model(params: ModelParams, spectrum: SpectrumResult, n: int) -> 
         raise ValueError(f"n={n} exceeds the Fock truncation {spectrum.space.n_max}")
     g = params.drive_amp * abs(dressed_amplitude(spectrum, n)) / 2.0
     resonance = params.omega_f + n - spectrum.ground_energy
-    return TwoStateModel(
-        coupling=g,
-        source="dressed-ground",
-        target=f"f,{n}",
-        detuning=_detuning(params, resonance),
-    )
+    return TwoStateModel(coupling=g, detuning=_detuning(params, resonance))
 
 
 def analytic_transfer(model: TwoStateModel, t):

@@ -105,17 +105,12 @@ def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest elementwise deviation |m - m^dag|."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
     """Raise ValueError unless m is finite and Hermitian to tol (relative to its largest entry)."""
     # a NaN defect would compare false and pass
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    defect = hermiticity_defect(m)
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > tol * max(1.0, float(np.max(np.abs(m)))):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
 

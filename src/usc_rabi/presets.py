@@ -25,6 +25,8 @@ _DEFAULT_OMEGA_LIST = (0.2, 0.4, 0.8)
 # drive amplitude (Omega) of the single-amplitude presets when the config sets none
 _DEFAULT_DRIVE_AMP = {"resonance-scan": 0.4, "convergence-report": 0.2, "two-state-compare": 0.2}
 _FLOAT_FMT = "%.12g"
+# rows that write_csv formats at once
+_CSV_BLOCK_ROWS = 4096
 # bytes of one (2*n_max+1)-site array over a fig2-sweep chunk (_sweep_chunk)
 _CHUNK_BYTES = 1 << 20
 
@@ -55,10 +57,15 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     lines = [f"# {k} = {_fmt(v)}" for k, v in provenance.items()]
     lines.append(",".join(names))
     # every cell as _fmt prints a float, one row format for all
-    row = ",".join([_FLOAT_FMT] * len(names))
-    cells = [(np.asarray(columns[n], dtype=float) + 0.0).tolist() for n in names]
-    lines += [row % values for values in zip(*cells)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join([_FLOAT_FMT] * len(names)) + "\n"
+    data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
+    data += 0.0  # folds -0.0 into 0.0, as _fmt does
+    with path.open("w", encoding="utf-8") as out:
+        out.write("\n".join(lines) + "\n")
+        # a block of rows at a time, so no more than _CSV_BLOCK_ROWS rows are
+        # ever Python floats and strings at once
+        for block in np.split(data, range(_CSV_BLOCK_ROWS, len(data), _CSV_BLOCK_ROWS)):
+            out.write((row * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 

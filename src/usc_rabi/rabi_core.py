@@ -181,14 +181,6 @@ def _chain_times(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray
     return tv
 
 
-def _sector_chain(
-    params: ModelParams, space: SpaceDescriptor, parity: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parity sector `parity` as a dense chain matrix, and the rows of its sites."""
-    diag, off, rows = _chain_bands(params.omega0, params.coupling, space, parity)
-    return _chain_matrix(diag, off), rows
-
-
 def _count_below(diag: np.ndarray, off: np.ndarray, x) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal chain (diag, off) below x.
 
@@ -231,9 +223,9 @@ def solve_spectrum(params: ModelParams, space: SpaceDescriptor) -> SpectrumResul
     w = np.empty(space.dim)
     v = np.zeros((space.dim, space.dim))
     for k, parity in enumerate((1, -1)):
-        chain, rows = _sector_chain(params, space, parity)
+        diag, off, rows = _chain_bands(params.omega0, params.coupling, space, parity)
         cols = slice(k * space.n_photon, (k + 1) * space.n_photon)
-        w[cols], v[rows, cols] = hilbert.eigh(chain)
+        w[cols], v[rows, cols] = hilbert.eigh(_chain_matrix(diag, off))
     order = np.argsort(w, kind="stable")
     w, v = w[order], _fix_phases(v[:, order])
     spectrum = SpectrumResult(

@@ -941,16 +941,35 @@ class TestBatchedSweep:
 
 
 class TestWriteCsv:
-    def test_rows_are_the_per_cell_format(self, tmp_path):
-        values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 40, 1e-300, 1e16, -1.5e-7,
-                  0.1 + 0.2, 123456789.123456789]
+    def test_rows_are_the_per_cell_format(self, tmp_path, monkeypatch):
+        values = [-0.0, 0.0, np.nan, np.inf, -np.inf, 40, 1e300, -1e-300,
+                  1.7976931348623157e308, 5e-324, -2.2250738585072014e-308, 1e-300, 1e16,
+                  -1.5e-7, 0.1 + 0.2, 123456789.123456789]
         cols = {"a": values, "b": np.array(values[::-1]), "n_max": [40] * len(values)}
-        path = presets.write_csv(tmp_path / "x.csv", {"k": -0.0, "n": 3}, cols)
         want = ["# k = 0", "# n = 3", "a,b,n_max"] + [
             ",".join(presets._fmt(float(np.asarray(c)[i])) for c in cols.values())
             for i in range(len(values))]
-        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+        # one row a block, blocks that split the rows unevenly, and one block
+        for block_rows in (1, 3, presets._CSV_BLOCK_ROWS):
+            monkeypatch.setattr(presets, "_CSV_BLOCK_ROWS", block_rows)
+            path = presets.write_csv(tmp_path / "x.csv", {"k": -0.0, "n": 3}, cols)
+            assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
         assert want[3] == "0,123456789.123,40" and want[5] == "nan,-1.5e-07,40"
+        assert want[9] == "1e+300,4.94065645841e-324,40"
+
+    def test_peak_memory_is_bounded_by_the_columns(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        cols = {f"c{i}": rng.standard_normal(200_000) for i in range(7)}
+        col_bytes = sum(c.nbytes for c in cols.values())
+        tracemalloc.start()
+        try:
+            presets.write_csv(os.devnull, {"k": 1}, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * col_bytes
 
 
 class TestArrayBound:
@@ -1079,20 +1098,14 @@ for preset, text in runs.items():
     presets.run_preset(cfg)
     new[preset] = sorted(set(sys.modules) - loaded)
 
-# the library calls no preset makes: the polaron frame's exponentials and the
-# time-trace peak finder
-import numpy as np
-from usc_rabi import ModelParams, dynamics, hilbert, polaron
+# the library calls no preset makes: the polaron frame's exponentials
+from usc_rabi import ModelParams, hilbert, polaron
 params = ModelParams(omega0=1.0, coupling=0.5)
 pol = polaron.solve_xi_eta(params)
 space = hilbert.make_space(8, 2)
 hilbert.matrix_exponential(polaron.build_s(params, pol, space))
 polaron.approx_ground_state(params, pol, space)
 polaron.transformed_h_rabi(params, pol, space)
-t = np.linspace(0.0, 300.0, 3000)
-p = np.sin(0.02 * t) ** 2
-assert not dynamics.rabi_extract(dynamics.TimeSeries(
-    times=t, p_f1=p, p_f3=p, norm=p)).flagged
 new["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(new))
 """

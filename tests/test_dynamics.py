@@ -21,7 +21,6 @@ from usc_rabi import (
     make_space,
     model_from_eigenbasis,
     propagate,
-    rabi_extract,
     resonance_frequency,
     run_preset,
     solve_spectrum,
@@ -945,77 +944,3 @@ class TestTaylorKernel:
         for name in horner:
             assert np.max(np.abs(horner[name] - adaptive[name])) <= 1e-13, name
 
-
-def _synthetic_series(g, t_end, n, ripple=0.0, ripple_freq=4.6):
-    t = np.linspace(0.0, t_end, n)
-    p = np.sin(g * t) ** 2
-    if ripple:
-        p = np.clip(p + ripple * np.sin(ripple_freq * t) ** 2, 0.0, 1.0)
-    return TimeSeries(times=t, p_f1=p, p_f3=np.zeros_like(t), norm=np.ones_like(t))
-
-
-class TestRabiExtract:
-    def test_clean_two_state_trace(self):
-        g = 0.02
-        series = _synthetic_series(g, 2.2 * np.pi / g, 3000)
-        feat = rabi_extract(series)
-        assert not feat.flagged
-        assert feat.max_p == pytest.approx(1.0, abs=1e-6)
-        assert feat.t_half == pytest.approx(np.pi / (2 * g), rel=0.01)
-        assert feat.freq_fit == pytest.approx(2 * g, rel=0.01)
-
-    def test_rippled_trace(self):
-        g = 0.025
-        series = _synthetic_series(g, 2.2 * np.pi / g, 4000, ripple=0.04)
-        feat = rabi_extract(series)
-        assert not feat.flagged
-        assert feat.t_half == pytest.approx(np.pi / (2 * g), rel=0.05)
-        assert feat.freq_fit == pytest.approx(2 * g, rel=0.05)
-
-    def test_flat_trace_flagged(self):
-        series = _synthetic_series(0.0, 100.0, 500)
-        feat = rabi_extract(series)
-        assert feat.flagged
-        assert np.isnan(feat.t_half) and np.isnan(feat.freq_fit)
-
-    def test_trace_falling_from_its_start_flagged(self):
-        # the first maximum is the first sample, t = 0: no half period to time
-        t = np.linspace(0.0, 10.0, 500)
-        p = np.exp(-t)
-        series = TimeSeries(times=t, p_f1=p, p_f3=np.zeros_like(t), norm=np.ones_like(t))
-        feat = rabi_extract(series)
-        assert feat.flagged and feat.max_p == 1.0
-        assert np.isnan(feat.t_half) and np.isnan(feat.freq_fit)
-
-    def test_flat_top_peaks_at_its_middle_sample(self):
-        x = np.array([0.0, 1.0, 3.0, 3.0, 3.0, 3.0, 1.0, 0.0])
-        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == [3]
-        x = np.array([0.0, 2.0, 2.0, 2.0, 0.0])
-        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == [2]
-
-    def test_maxima_at_either_end_are_not_peaks(self):
-        x = np.array([5.0, 1.0, 2.0, 1.0, 6.0])
-        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == [2]
-        # a flat top that runs into the last sample is no peak either
-        x = np.array([0.0, 1.0, 2.0, 2.0])
-        assert dynamics._find_peaks(x, 0.0, 0.0).tolist() == []
-
-    def test_ripple_below_the_prominence_floor_is_dropped(self):
-        # prominences: 4 - max(0, 3) = 1 at index 1; 3.5 - max(3, 3) = 0.5 at
-        # index 3 (the ripple between the two larger peaks); 8 - 0 at index 5
-        x = np.array([0.0, 4.0, 3.0, 3.5, 3.0, 8.0, 0.0])
-        assert dynamics._find_peaks(x, 0.0, 0.5).tolist() == [1, 3, 5]
-        assert dynamics._find_peaks(x, 0.0, 0.8).tolist() == [1, 5]
-        assert dynamics._find_peaks(x, 0.0, 1.5).tolist() == [5]
-
-    def test_maximum_below_the_height_floor_is_dropped(self):
-        x = np.array([0.0, 2.0, 0.0, 5.0, 0.0])
-        assert dynamics._find_peaks(x, 2.0, 0.0).tolist() == [1, 3]
-        assert dynamics._find_peaks(x, 3.0, 0.0).tolist() == [3]
-
-    def test_single_peak_window_uses_first_maximum(self):
-        g = 0.02
-        series = _synthetic_series(g, 1.1 * np.pi / g, 2000)  # one peak only
-        feat = rabi_extract(series)
-        assert feat.t_half == pytest.approx(np.pi / (2 * g), rel=0.01)
-        assert feat.freq_fit == pytest.approx(2 * g, rel=0.02)

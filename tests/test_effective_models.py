@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,8 +92,7 @@ class TestMultiphotonModel:
         spec = solve_spectrum(params, make_space(40, 2))
         m1 = multiphoton_model(params, spec, 1)
         m_eig = model_from_eigenbasis(params, spec)
-        assert m1.coupling == m_eig.coupling
-        assert m1.target == m_eig.target == "f,1"
+        assert m1 == m_eig
 
     def test_even_channel_rejected(self):
         params = _driven(0.2)
@@ -103,7 +104,9 @@ class TestMultiphotonModel:
         params = _driven(0.4)
         spec = solve_spectrum(params, make_space(40, 2))
         model = multiphoton_model(params, spec, 3)
-        assert model.target == "f,3"
+        # the target is |f,3>: its channel resonates at omega_f + 3 - E0
+        off = replace(params, drive_freq=params.omega_f + 3.0 - spec.ground_energy + 0.01)
+        assert multiphoton_model(off, spec, 3).detuning == pytest.approx(0.01, abs=1e-12)
         assert model.coupling == pytest.approx(0.4 * abs(C30_EXACT) / 2.0, abs=1e-9)
 
     def test_beyond_truncation_rejected(self):
@@ -115,11 +118,11 @@ class TestMultiphotonModel:
 
 class TestAnalyticTransfer:
     def test_starts_at_zero(self):
-        model = TwoStateModel(coupling=0.03, source="a", target="b")
+        model = TwoStateModel(coupling=0.03)
         assert analytic_transfer(model, 0.0) == 0.0
 
     def test_full_transfer_at_half_period(self):
-        model = TwoStateModel(coupling=0.03, source="a", target="b")
+        model = TwoStateModel(coupling=0.03)
         assert analytic_transfer(model, half_period(model)) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_period_value(self):
@@ -129,14 +132,14 @@ class TestAnalyticTransfer:
         assert half_period(model) == pytest.approx(61.0, abs=1.0)
 
     def test_zero_coupling_is_flat(self):
-        model = TwoStateModel(coupling=0.0, source="a", target="b")
+        model = TwoStateModel(coupling=0.0)
         t = np.linspace(0.0, 50.0, 100)
         assert np.all(analytic_transfer(model, t) == 0.0)
         assert half_period(model) == np.inf
 
     def test_detuning_caps_amplitude(self):
         g, delta = 0.02, 0.08
-        model = TwoStateModel(coupling=g, source="a", target="b", detuning=delta)
+        model = TwoStateModel(coupling=g, detuning=delta)
         t = np.linspace(0.0, 500.0, 4000)
         p = analytic_transfer(model, t)
         cap = g**2 / (g**2 + delta**2 / 4.0)
@@ -147,8 +150,8 @@ class TestAnalyticTransfer:
     def test_underflowing_coupling_gives_the_scaled_curve(self, detuning, cap):
         # g^2 = 1e-340 underflows to zero; the curve is that of g = 1e-10 and
         # detuning * 1e160 at times / 1e160
-        tiny = TwoStateModel(coupling=1e-170, source="a", target="b", detuning=detuning)
-        scaled = TwoStateModel(coupling=1e-10, source="a", target="b", detuning=detuning * 1e160)
+        tiny = TwoStateModel(coupling=1e-170, detuning=detuning)
+        scaled = TwoStateModel(coupling=1e-10, detuning=detuning * 1e160)
         # the first maximum, at pi / (2 * sqrt(g^2 + delta^2/4)), is the cap
         t = np.linspace(0.0, 2.0, 17) * np.pi / (2e-170 * np.sqrt(1.0 + (detuning / 2e-170)**2))
         p = analytic_transfer(tiny, t)
@@ -164,6 +167,6 @@ class TestAnalyticTransfer:
         t=st.floats(min_value=0.0, max_value=1e4),
     )
     def test_probability_bounds(self, g, delta, t):
-        model = TwoStateModel(coupling=g, source="a", target="b", detuning=delta)
+        model = TwoStateModel(coupling=g, detuning=delta)
         p = float(analytic_transfer(model, t))
         assert 0.0 <= p <= 1.0

@@ -216,7 +216,7 @@ class TestSturmCount:
         params = ModelParams(omega0=1.0, coupling=lam)
         space = make_space(n_max, 2)
         diag, off, _ = rabi_core._chain_bands(params.omega0, params.coupling, space, parity)
-        w = np.linalg.eigvalsh(rabi_core._sector_chain(params, space, parity)[0])
+        w = np.linalg.eigvalsh(rabi_core._chain_matrix(diag, off))
         levels = np.unique(w)
         shifts = np.concatenate([[levels[0] - 1.0], 0.5 * (levels[:-1] + levels[1:]),
                                  [levels[-1] + 1.0]])
@@ -371,7 +371,8 @@ class TestSectorSolve:
         signs = np.diag(parity_matrix(space))
         assert not np.any(h[np.ix_(signs > 0, signs < 0)])
         for parity in (1, -1):
-            chain, rows = rabi_core._sector_chain(params, space, parity)
+            diag, off, rows = rabi_core._chain_bands(params.omega0, lam, space, parity)
+            chain = rabi_core._chain_matrix(diag, off)
             assert sorted(rows) == list(np.flatnonzero(signs == parity))
             block = h[np.ix_(rows, rows)]
             assert not np.any(block.imag)

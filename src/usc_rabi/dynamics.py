@@ -205,16 +205,19 @@ def static_hamiltonian(params: ModelParams, space: SpaceDescriptor) -> np.ndarra
     """Drive-free part: embedded Rabi Hamiltonian plus the f level at omega_f."""
     if space.atom_levels != 3:
         raise ValueError("the driven model lives on the 3-level space")
-    nph = space.n_photon
-    h = np.zeros((space.dim, space.dim), dtype=complex)
+    nph, dim = space.n_photon, space.dim
+    h = np.zeros((dim, dim), dtype=complex)
     h[: 2 * nph, : 2 * nph] = rabi_core.build_h_rabi(params, hilbert.make_space(space.n_max, 2))
-    h[2 * nph :, 2 * nph :] = np.diag(params.omega_f + np.arange(nph))
+    h.flat[2 * nph * (dim + 1) :: dim + 1] = params.omega_f + np.arange(nph)
     return h
 
 
 def drive_operator(space: SpaceDescriptor) -> np.ndarray:
     """Drive coupling |f><e| + |e><f| (unit strength)."""
-    return hilbert.atomic_op(space, "f", "e") + hilbert.atomic_op(space, "e", "f")
+    nph = space.n_photon
+    v = hilbert.atomic_op(space, "f", "e")
+    np.fill_diagonal(v[nph : 2 * nph, 2 * nph :], 1.0)
+    return v
 
 
 def _drive_free(params: ModelParams) -> tuple[float, float, float]:
@@ -277,7 +280,8 @@ class Sector:
     def _block(self, m: np.ndarray) -> np.ndarray:
         if np.any(m.imag) or np.any(m[np.ix_(self.mask, ~self.mask)]):
             raise ValueError("the driven Hamiltonian is not real and closed on the parity sector")
-        return m[np.ix_(self.mask, self.mask)].real
+        # indexing the real view copies only the block, owned and C-ordered
+        return m.real[np.ix_(self.mask, self.mask)]
 
     def node_eigh(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(w, q) of h_s + gamma v_s at each drive strength gamma of nodes, as one stacked eigh.

@@ -1,10 +1,11 @@
 """Truncated joint Hilbert space (atom x Fock) and the dense operator algebra on it.
 
 Basis ordering: the flattened index of |level, n> is level_ordinal*(n_max+1) + n
-with level ordinals g=0, e=1, f=2.  All operators are dense complex matrices and
-all energies are expressed in units of the cavity frequency (hbar = 1).  eigh
-is numpy's dense Hermitian solver and keeps real input real; the polaron
-frame's unitaries e^(+-S) come from one eigh each (matrix_exponential).
+with level ordinals g=0, e=1, f=2.  All operators are dense complex matrices,
+each built by writing its nonzero band into a zeroed array, and all energies
+are expressed in units of the cavity frequency (hbar = 1).  eigh is numpy's
+dense Hermitian solver and keeps real input real; the polaron frame's
+unitaries e^(+-S) come from one eigh each (matrix_exponential).
 """
 
 from __future__ import annotations
@@ -81,17 +82,21 @@ def make_space(n_max: int, atom_levels: int = 3) -> SpaceDescriptor:
 
 def annihilation(space: SpaceDescriptor) -> np.ndarray:
     """Photon annihilation operator: <level, n-1| a |level, n> = sqrt(n)."""
-    a_fock = np.zeros((space.n_photon, space.n_photon), dtype=complex)
-    for n in range(1, space.n_photon):
-        a_fock[n - 1, n] = np.sqrt(n)
-    return np.kron(np.eye(space.atom_levels), a_fock)
+    band = np.append(np.sqrt(np.arange(1.0, space.n_photon)), 0.0)
+    a = np.zeros((space.dim, space.dim), dtype=complex)
+    # the superdiagonal; its entries between two levels' blocks are 0
+    a.flat[1 :: space.dim + 1] = np.tile(band, space.atom_levels)[:-1]
+    return a
 
 
 def atomic_op(space: SpaceDescriptor, bra_level: str, ket_level: str) -> np.ndarray:
     """Atomic transition operator |bra_level><ket_level| (x) identity on the Fock factor."""
-    proj = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)
-    proj[space.level_ordinal(bra_level), space.level_ordinal(ket_level)] = 1.0
-    return np.kron(proj, np.eye(space.n_photon))
+    nph = space.n_photon
+    row = space.level_ordinal(bra_level) * nph
+    col = space.level_ordinal(ket_level) * nph
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    np.fill_diagonal(op[row : row + nph, col : col + nph], 1.0)
+    return op
 
 
 def matrix_exponential(m: np.ndarray, scale: complex = 1.0) -> np.ndarray:

@@ -165,21 +165,22 @@ class _Run:
 
 
 def _resolve(
-    cfg: ExperimentConfig, photons: tuple[int, ...] | None = (1,), drive_amp: float | None = None
+    cfg: ExperimentConfig,
+    photons: tuple[int, ...] = (1,),
+    drive_amp: float | None = None,
+    spec: rabi_core.SpectrumResult | None = None,
 ) -> _Run:
     """Params, truncation-guarded spectrum, resonance, polaron frame and start state.
 
     drive_amp defaults to the config's Omega, else the preset's default.
-    photons None solves the n_max spectrum without judging it
-    (guarded_spectrum); the caller judges its ground level itself.
+    spec, when given, is an n_max spectrum the caller has solved and judged
+    itself; photons, the amplitudes guarded_spectrum judges, is then unused.
     """
     drive_amp = drive_amp or cfg.drive_amp or _DEFAULT_DRIVE_AMP[cfg.preset]
     params = ModelParams(
         omega0=cfg.omega0, coupling=cfg.coupling, omega_f=cfg.omega_f, drive_amp=drive_amp
     )
-    if photons is None:
-        spec = rabi_core.solve_spectrum(params, make_space(cfg.n_max, 2))
-    else:
+    if spec is None:
         spec = guarded_spectrum(params, cfg.n_max, photons=photons)
     omega_p = cfg.drive_freq or dynamics.resonance_frequency(params, spec.ground_energy)
     return _Run(
@@ -410,18 +411,18 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     Writes its CSV, then raises ConvergenceGuardError when the ground energy
     moves above 1e-8 under truncation doubling or the peak transfer moves
     above 1e-6 under either refinement.  Both grids are checked before
-    anything is propagated, and so are its ground levels: the n_max one
-    and then the 2*n_max one must not be degenerate (_degenerate), as in
-    _judge_grounds.  The 2*n_max run, the longest, runs on the
-    calling thread while a second thread runs the base and halved-step runs
-    on their shared dynamics.Sector (rabi_core.beside); numpy drops the GIL
-    in its linear algebra, so the two overlap on two cores.  Each run is the
-    serial one bit for bit, and a failure is raised in the serial order:
-    base, 2*n_max, then halved step.  Pure computation; idempotent across
-    runs.
+    anything is propagated, and so are its ground levels, before the
+    polaron fixed point is solved: the n_max one and then the 2*n_max one
+    must not be degenerate (_degenerate), as in _judge_grounds.  The 2*n_max
+    run, the longest, runs on the calling thread while a second thread runs
+    the base and halved-step runs on their shared dynamics.Sector
+    (rabi_core.beside); numpy drops the GIL in its linear algebra, so the
+    two overlap on two cores.  Each run is the serial one bit for bit, and a
+    failure is raised in the serial order: base, 2*n_max, then halved step.
+    Pure computation; idempotent across runs.
     """
-    run = _resolve(cfg, photons=None)
-    spec = run.spec
+    spec = rabi_core.solve_spectrum(ModelParams(omega0=cfg.omega0, coupling=cfg.coupling),
+                                    make_space(cfg.n_max, 2))
     # the 2*n_max ground pair is propagated too, so it is solved, not certified
     psi0_2n, lambda0_2n, gap_2n = rabi_core.ground_levels(
         cfg.omega0, cfg.coupling, make_space(2 * cfg.n_max, 2))
@@ -430,6 +431,7 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
                   _degenerate(cfg.coupling, 2 * cfg.n_max, gap_2n)):
         if error is not None:
             raise error
+    run = _resolve(cfg, spec=spec)
     model = effective_models.model_from_eigenbasis(run.params, spec)
     # the horizon snapped to the base grid, so refined runs sample identical times
     base_prop = _prop_config(

@@ -109,14 +109,19 @@ def build_h_rabi(params: ModelParams, space: SpaceDescriptor) -> np.ndarray:
             "the Rabi Hamiltonian lives on the two-level (g, e) space; "
             "the f level does not couple to the cavity"
         )
-    a = hilbert.annihilation(space)
-    sx = hilbert.atomic_op(space, "g", "e") + hilbert.atomic_op(space, "e", "g")
-    sz = hilbert.atomic_op(space, "e", "e") - hilbert.atomic_op(space, "g", "g")
-    h = (
-        0.5 * params.omega0 * sz
-        + a.conj().T @ a
-        + params.coupling * (a + a.conj().T) @ sx
-    )
+    nph, dim = space.n_photon, space.dim
+    # sqrt(n), n = 1..n_max: the band of a on the Fock factor, copied so a is freed
+    root = hilbert.annihilation(space).real.diagonal(1)[: nph - 1].copy()
+    # a^dag a gives fl(sqrt(n) sqrt(n)), not n
+    number = np.append(0.0, root * root)
+    half = 0.5 * params.omega0
+    h = np.zeros((dim, dim), dtype=complex)
+    h.flat[:: dim + 1] = np.concatenate([number - half, number + half])
+    # coupling * (a + a^dag) on the g-e and e-g blocks
+    hop = params.coupling * root
+    for block in (h[:nph, nph:], h[nph:, :nph]):
+        block.flat[1 :: nph + 1] = hop
+        block.flat[nph :: nph + 1] = hop
     return h
 
 

@@ -68,3 +68,44 @@ def eigh_calls(monkeypatch):
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return m + m.conj().T
+
+
+# The full-space operators as Kronecker and dense products: the package
+# writes their bands directly, and the tests hold every bit of it to these.
+def kron_annihilation(space) -> np.ndarray:
+    a_fock = np.zeros((space.n_photon, space.n_photon), dtype=complex)
+    for n in range(1, space.n_photon):
+        a_fock[n - 1, n] = np.sqrt(n)
+    return np.kron(np.eye(space.atom_levels), a_fock)
+
+
+def kron_atomic_op(space, bra_level: str, ket_level: str) -> np.ndarray:
+    proj = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)
+    proj[space.level_ordinal(bra_level), space.level_ordinal(ket_level)] = 1.0
+    return np.kron(proj, np.eye(space.n_photon))
+
+
+def dense_h_rabi(params, space) -> np.ndarray:
+    a = kron_annihilation(space)
+    sx = kron_atomic_op(space, "g", "e") + kron_atomic_op(space, "e", "g")
+    sz = kron_atomic_op(space, "e", "e") - kron_atomic_op(space, "g", "g")
+    return 0.5 * params.omega0 * sz + a.conj().T @ a + params.coupling * (a + a.conj().T) @ sx
+
+
+def dense_static_hamiltonian(params, space) -> np.ndarray:
+    nph = space.n_photon
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h[: 2 * nph, : 2 * nph] = dense_h_rabi(params, make_space(space.n_max, 2))
+    h[2 * nph :, 2 * nph :] = np.diag(params.omega_f + np.arange(nph))
+    return h
+
+
+def kron_drive_operator(space) -> np.ndarray:
+    return kron_atomic_op(space, "f", "e") + kron_atomic_op(space, "e", "f")
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: array_equal, and the sign of every zero too."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()

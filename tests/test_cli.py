@@ -597,6 +597,27 @@ class TestExitCodes:
         assert "ground level is degenerate within tolerance (gap " in err
         assert ") at lambda=4, n_max=80" in err
 
+    @pytest.mark.parametrize("n_max, degenerate_at", [(20, 40), (40, 40)])
+    def test_convergence_report_judges_its_gaps_before_the_polaron_frame(
+        self, tmp_path, capsys, monkeypatch, n_max, degenerate_at
+    ):
+        # at lambda = 3.6 the parity ground levels meet to 5e-12 at n_max 40:
+        # the 2*n_max level of n_max 20, the n_max level of n_max 40
+        calls = []
+        solve = polaron.solve_xi_eta
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(polaron, "solve_xi_eta", spy)
+        cfg = _write(tmp_path, "deg.cfg", f"lambda = 3.6\nn_max = {n_max}\nt_end = 1\n")
+        assert main(["convergence-report", "--config", str(cfg),
+                     "--out", str(tmp_path / "deg.csv")]) == 3
+        assert (f"ground level is degenerate within tolerance (gap 4.956e-12) "
+                f"at lambda=3.6, n_max={degenerate_at}") in capsys.readouterr().err
+        assert calls == []
+
     def test_ground_level_in_the_other_parity_chain_is_guard_failure(self, tmp_path, capsys):
         # at lambda = 2.5 the n_max = 6 truncation puts the ground level in the
         # chain of |e,0>, outside the driven sector: the refinement study stops

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -28,7 +29,13 @@ from usc_rabi import (
 from usc_rabi import dynamics
 from usc_rabi.presets import ConvergenceGuardError
 from usc_rabi.dynamics import TimeSeries
-from conftest import OMEGA_P_APPROX, OMEGA_P_EXACT
+from conftest import (
+    OMEGA_P_APPROX,
+    OMEGA_P_EXACT,
+    assert_same_bits,
+    dense_static_hamiltonian,
+    kron_drive_operator,
+)
 
 N_SMALL = 12
 
@@ -90,6 +97,40 @@ class TestBuildHFull:
         w_f = [base.omega_f + n for n in range(space3.n_photon)]
         expected = np.sort(np.concatenate([w_rabi, w_f]))
         assert np.allclose(w_full, expected, atol=1e-10)
+
+
+class TestFullSpaceOperators:
+    # tracemalloc peak of dynamics.Sector at n_max 80 (dim 243): 1.37 MiB
+    # with the bands written in place, 3.43 MiB from Kronecker and dense
+    # products, 1.92 MiB with the drive as a sum of two atomic operators
+    SECTOR_PEAK_BOUND = 1.6 * 2**20
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 80, 160])
+    def test_bit_identical_to_dense_products(self, n_max):
+        space = make_space(n_max, 3)
+        assert_same_bits(dynamics.drive_operator(space), kron_drive_operator(space))
+        for coupling in (0.0, 1e-3, 0.5, 3.0):
+            for omega0 in (0.3, 1.0, 2.5):
+                params = ModelParams(omega0=omega0, coupling=coupling, omega_f=3.0)
+                assert_same_bits(dynamics.static_hamiltonian(params, space),
+                                 dense_static_hamiltonian(params, space))
+
+    def test_sector_blocks_own_their_data(self, small_setup):
+        sector = dynamics.Sector(small_setup[0], make_space(N_SMALL, 3))
+        for block in (sector.h_s, sector.v_s):
+            assert block.base is None
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+
+    def test_sector_peak_memory(self, small_setup):
+        space = make_space(80, 3)
+        dynamics.Sector(small_setup[0], space)  # first use of any lazily loaded code
+        tracemalloc.start()
+        try:
+            dynamics.Sector(small_setup[0], space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.SECTOR_PEAK_BOUND, peak
 
 
 class TestEmbedGroundState:

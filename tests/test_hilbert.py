@@ -14,7 +14,7 @@ from usc_rabi import (
     matrix_exponential,
     solve_xi_eta,
 )
-from conftest import random_hermitian
+from conftest import assert_same_bits, kron_annihilation, kron_atomic_op, random_hermitian
 
 
 class TestMakeSpace:
@@ -78,8 +78,22 @@ class TestAnnihilation:
         block = comm[np.ix_(interior, interior)]
         assert np.max(np.abs(block - np.eye(len(interior)))) < 1e-12
 
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("n_max", [1, 2, 20])
+    def test_bit_identical_to_kronecker_product(self, n_max, levels):
+        space = make_space(n_max, levels)
+        assert_same_bits(annihilation(space), kron_annihilation(space))
+
 
 class TestAtomicOp:
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("n_max", [1, 2, 20])
+    def test_bit_identical_to_kronecker_product(self, n_max, levels):
+        space = make_space(n_max, levels)
+        for bra in space.levels:
+            for ket in space.levels:
+                assert_same_bits(atomic_op(space, bra, ket), kron_atomic_op(space, bra, ket))
+
     def test_lowering_transition(self):
         space = make_space(4, 2)
         sigma = atomic_op(space, "g", "e")

@@ -18,7 +18,7 @@ from usc_rabi import (
     solve_spectrum,
 )
 from usc_rabi import rabi_core
-from conftest import C10_EXACT, C30_EXACT, G0_OVERLAP, LAMBDA0
+from conftest import C10_EXACT, C30_EXACT, G0_OVERLAP, LAMBDA0, assert_same_bits, dense_h_rabi
 
 
 class TestModelParams:
@@ -40,6 +40,15 @@ class TestBuildHRabi:
     def test_rejects_three_level_space(self):
         with pytest.raises(ValueError):
             build_h_rabi(ModelParams(omega0=1.0, coupling=0.2), make_space(10, 3))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 20, 80, 160])
+    def test_bit_identical_to_dense_products(self, n_max):
+        # a^dag a's diagonal is fl(sqrt(n) sqrt(n)), 1 ulp off n for some n
+        space = make_space(n_max, 2)
+        for coupling in (0.0, 1e-3, 0.5, 3.0):
+            for omega0 in (0.3, 1.0, 2.5):
+                params = ModelParams(omega0=omega0, coupling=coupling)
+                assert_same_bits(build_h_rabi(params, space), dense_h_rabi(params, space))
 
     def test_hermitian(self, base_params, space2):
         h = build_h_rabi(base_params, space2)

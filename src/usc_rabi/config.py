@@ -256,10 +256,10 @@ def largest_array_bytes(cfg: ExperimentConfig) -> int:
     half steps one at a time where it would be larger.  convergence-report
     runs two passes at once (its 2*n_max run beside its base and dt/2
     runs), so it can hold two node stacks, up to 2 x NODE_STACK_BYTES.  The
-    pass reads its samples off tables it holds to dynamics.READ_BYTES the
-    same way.  fig2-sweep likewise solves two eigh stacks at once where a
-    chunk has more than one (the two threads of rabi_core._lowest), so it
-    can hold two, up to 2 x STACK_BYTES.
+    pass forms and reads its segment starts in blocks it holds, with their
+    tables, to dynamics.READ_BYTES.  fig2-sweep likewise solves two eigh
+    stacks at once where a chunk has more than one (the two threads of
+    rabi_core._lowest), so it can hold two, up to 2 x STACK_BYTES.
     """
     n, n2 = cfg.n_max + 1, 2 * cfg.n_max + 1
     chain2 = 8 * n2 * n2

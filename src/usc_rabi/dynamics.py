@@ -44,8 +44,8 @@ propagate builds its own.  One of two integrators steps the blocks:
   steps the identity through it.  Each sample is P_r applied to a segment
   start, forward, or backward by conjugation from the next one, with r at
   most that quarter period, so it is read off the rows <f,1| P_r and
-  <f,3| P_r recorded by the pass: one product of those rows with the segment
-  starts and one with their conjugates give every sample.  Each half-step
+  <f,3| P_r recorded by the pass: one product of them and their conjugates
+  with each block of segment starts gives its samples.  Each half-step
   factor exp(-i (dt/2)(H_static + gamma V)) is entire in the drive strength
   gamma, so the pass diagonalizes at a few Chebyshev nodes in gamma, as
   many as an interpolation bound needs to hold every factor to 1e-17, and
@@ -538,11 +538,11 @@ def _propagate_sector(
     the real basis rows <f,1| and <f,3| of sector.probe.  M only flips
     signs, and |<f,n| conj(x)>| = |<f,n| x>|, so |<f,n| state>| is
     |(W P_r c)_n| either way.  The segment starts that hold a sample are
-    stacked as the columns of C.  A forward sample is an entry of
-    (W P_r)_r C and a backward one an entry of (W P_r)_r conj(C): two
-    products, read by one gather, in blocks of segment starts that keep
-    both tables under READ_BYTES.  The amplitudes returned at the sample
-    steps marks are the probe overlaps up to a phase.
+    formed block by block, one seg_map matvec per segment, as the columns
+    of C, with C and its table under READ_BYTES.  With R = (W P_r)_r, a
+    forward sample is an entry of R C and a backward one of R conj(C), in
+    modulus one of conj(R) C: one product [R; conj(R)] C, one gather.
+    The amplitudes returned at marks are the probe overlaps up to a phase.
 
     The pass's 2 ceil(L/2) half steps are not diagonalized one by one.
     _half_step_nodes picks d+1 Chebyshev nodes on the range of their
@@ -648,34 +648,30 @@ def _propagate_sector(
     for _ in range(2):
         seg_map -= 0.5 * (seg_map @ (seg_map.conj().T @ seg_map - eye))
 
-    # base never decreases along marks: phis[k] is phi_{starts[k]}, the k-th
-    # segment start that holds a sample, and sample j reads phis[which[j]]
+    # base never decreases along marks: starts[k] is the k-th segment start
+    # that holds a sample, and sample j reads start which[j]
     first = np.r_[True, base[1:] > base[:-1]]
     which = np.cumsum(first) - 1
     starts = base[first]
-    phis = np.empty((len(starts), dim), dtype=complex)
-    phi, i = psi0, 0
-    for k, start in enumerate(starts.tolist()):
-        for _ in range(start - i):
-            phi = seg_map @ phi
-        phis[k], i = phi, start
 
     # sample j is entry (back[j], probe row, slot[at[j]], which[j]) of the
-    # forward and backward tables, each a product of every recorded row
-    flat = rows.reshape(-1, dim)
+    # forward and backward tables, formed a block of segment starts at a time
+    flat = np.concatenate([rows, rows.conj()]).reshape(-1, dim)
+    per = max(1, READ_BYTES // (16 * (len(flat) + dim)))
+    block = np.empty((min(per, len(starts)), dim), dtype=complex)
     amps = np.empty((2, len(marks)), dtype=complex)
-    # segment starts per block, each a column of both tables
-    per = max(1, READ_BYTES // (32 * len(flat)))
+    norms = np.empty(len(marks))
+    phi, i = psi0, 0
     for lo in range(0, len(starts), per):
-        block = phis[lo : lo + per].T
-        tables = np.empty((2, len(flat), block.shape[1]), dtype=complex)
-        np.matmul(flat, block, out=tables[0])
-        np.matmul(flat, block.conj(), out=tables[1])
+        part = block[: len(starts) - lo]
+        for k, start in enumerate(starts[lo : lo + per].tolist()):
+            for _ in range(start - i):
+                phi = seg_map @ phi
+            part[k], i = phi, start
         j = slice(*np.searchsorted(which, [lo, lo + per]))
-        tables = tables.reshape(2, 2, n_rec, -1)
+        tables = (flat @ part.T).reshape(2, 2, n_rec, -1)
         amps[:, j] = tables[back[j], :, slot[at[j]], which[j] - lo].T
-
-    norms = np.linalg.norm(phis, axis=1)[which]
+        norms[j] = np.linalg.norm(part, axis=1)[which[j] - lo]
     return amps, norms, defect[at] * norms
 
 

@@ -338,15 +338,13 @@ def run_fig3_evolve(cfg: ExperimentConfig) -> PresetResult:
     provenance = _resolved_header(cfg, run)
     provenance["omega_p"] = run.params.drive_freq
     sector = dynamics.Sector(run.params, run.space3)
-    prop = None
+    prop = _prop_config(cfg, run.params, t_end_default)
     for om in omegas:
         params = replace(run.params, drive_amp=om)
-        prop = _prop_config(cfg, params, t_end_default)
         series = dynamics.propagate(params, run.space3, prop, run.initial, sector=sector)
         model = effective_models.model_from_eigenbasis(params, run.spec)
         tag = f"{om:g}"
-        if "t" not in cols:
-            cols["t"] = series.times
+        cols["t"] = series.times
         cols[f"p_f1_Omega{tag}"] = series.p_f1
         cols[f"p_analytic_Omega{tag}"] = effective_models.analytic_transfer(model, series.times)
         cols[f"norm_Omega{tag}"] = series.norm

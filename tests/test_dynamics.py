@@ -649,8 +649,9 @@ class TestSectorFloquet:
         assert len(calls["static_hamiltonian"]) == sectors
 
     def test_samples_read_in_blocks_match_one_table(self, small_setup, monkeypatch):
-        # a READ_BYTES of 1 reads each segment start's samples off tables of
-        # its own, against one pair of tables for the whole run
+        # a READ_BYTES of 1 forms each segment start in a block of its own and
+        # reads its samples off tables of their own, against one block and one
+        # pair of tables for the whole run
         base, _, initial, omega_p = small_setup
         params = _driven(base, 0.3, omega_p)
         period = 2.0 * np.pi / omega_p
@@ -662,6 +663,31 @@ class TestSectorFloquet:
         blocks = _fields(propagate(params, space, cfg, initial))
         for name in whole:
             assert np.max(np.abs(blocks[name] - whole[name])) <= 1e-15, name
+
+    def test_peak_memory_grows_little_per_sample(self, setups, monkeypatch):
+        # one sample per period at n_max 20 (sector dim 31), both runs past one
+        # block of segment starts (1872 here): a sample then adds about 105
+        # bytes of indices and results, where a stack of every start added
+        # its 16 * 31 bytes too, about 1170 bytes in all
+        base, out = setups
+        initial, omega_p = out[20]
+        params = _driven(base, 0.2, omega_p)
+        period = 2.0 * np.pi / omega_p
+        space = make_space(20, 3)
+        sector = dynamics.Sector(params, space)
+        monkeypatch.setattr(dynamics, "_step_loop", _refuse)
+        counts, peaks = (2500, 5000), []
+        for samples in counts:
+            cfg = PropagationConfig(t_end=samples * period, dt=period / 200, sample_every=200)
+            if not peaks:  # first use of any lazily loaded code, and the node memo
+                propagate(params, space, cfg, initial, sector=sector)
+            tracemalloc.start()
+            try:
+                propagate(params, space, cfg, initial, sector=sector)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 400 * (counts[1] - counts[0]), peaks
 
     def test_rejects_hamiltonian_without_half_period_symmetry(self, small_setup, monkeypatch):
         # e-f coupling inside the sector keeps it closed but breaks S H S = H,

@@ -58,13 +58,14 @@ def write_csv(path: str | Path, provenance: dict, columns: dict) -> Path:
     lines.append(",".join(names))
     # every cell as _fmt prints a float, one row format for all
     row = ",".join([_FLOAT_FMT] * len(names)) + "\n"
-    data = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
-    data += 0.0  # folds -0.0 into 0.0, as _fmt does
+    cols = [np.asarray(columns[n], dtype=float) for n in names]
     with path.open("w", encoding="utf-8") as out:
         out.write("\n".join(lines) + "\n")
         # a block of rows at a time, so no more than _CSV_BLOCK_ROWS rows are
-        # ever Python floats and strings at once
-        for block in np.split(data, range(_CSV_BLOCK_ROWS, len(data), _CSV_BLOCK_ROWS)):
+        # ever stacked, Python floats and strings at once
+        for at in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[at : at + _CSV_BLOCK_ROWS] for c in cols])
+            block += 0.0  # folds -0.0 into 0.0, as _fmt does
             out.write((row * len(block)) % tuple(block.ravel().tolist()))
     return path
 
@@ -411,12 +412,13 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
     above 1e-6 under either refinement.  Both grids are checked before
     anything is propagated, and so are its ground levels, before the
     polaron fixed point is solved: the n_max one and then the 2*n_max one
-    must not be degenerate (_degenerate), as in _judge_grounds.  The 2*n_max
-    run, the longest, runs on the calling thread while a second thread runs
-    the base and halved-step runs on their shared dynamics.Sector
+    must not be degenerate (_degenerate), as in _judge_grounds.  The calling
+    thread runs the base and then the halved-step run on their shared
+    dynamics.Sector while a second thread runs the 2*n_max run, the longest
     (rabi_core.beside); numpy drops the GIL in its linear algebra, so the
-    two overlap on two cores.  Each run is the serial one bit for bit, and a
-    failure is raised in the serial order: base, 2*n_max, then halved step.
+    two overlap on two cores.  Each run is the serial one bit for bit.  A
+    failure is raised in the serial order: beside raises base's, then the
+    2*n_max run's, and a kept halved-step failure is raised last.
     Pure computation; idempotent across runs.
     """
     spec = rabi_core.solve_spectrum(ModelParams(omega0=cfg.omega0, coupling=cfg.coupling),
@@ -449,28 +451,23 @@ def run_convergence_report(cfg: ExperimentConfig) -> PresetResult:
             ) from exc
         return float(series.p_f1.max())
 
-    # run -> its peak, or the error it raised; a failed base run skips dt/2
-    peaks: dict = {}
+    peaks: dict = {}  # run -> its peak, or dt/2's error, raised after the others
 
     def base_runs() -> None:
+        sector = dynamics.Sector(run.params, run.space3)
+        peaks["base"] = peak(sector, run.initial, base_prop)
         try:
-            sector = dynamics.Sector(run.params, run.space3)
-            peaks["base"] = peak(sector, run.initial, base_prop)
             peaks["half"] = peak(sector, run.initial, half_prop)
-        except BaseException as exc:  # raised on the calling thread, in serial order
-            peaks["half" if "base" in peaks else "base"] = exc
+        except Exception as exc:
+            peaks["half"] = exc
 
     def refined_run() -> None:
-        try:
-            peaks["2n"] = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
-                               dynamics.embed_ground_state(psi0_2n), base_prop)
-        except Exception as exc:
-            peaks["2n"] = exc
+        peaks["2n"] = peak(dynamics.Sector(run.params, make_space(2 * cfg.n_max, 3)),
+                           dynamics.embed_ground_state(psi0_2n), base_prop)
 
-    rabi_core.beside(base_runs, refined_run)
-    for name in ("base", "2n", "half"):  # the serial order
-        if isinstance(peaks[name], BaseException):
-            raise peaks[name]
+    rabi_core.beside(refined_run, base_runs)  # raises base's error, then 2*n_max's
+    if isinstance(peaks["half"], Exception):
+        raise peaks["half"]
     p_base, p_2n, p_half = peaks["base"], peaks["2n"], peaks["half"]
 
     d_lambda0 = abs(spec.ground_energy - lambda0_2n)

@@ -130,8 +130,8 @@ def parity_matrix(space: SpaceDescriptor) -> np.ndarray:
 
     The diagonal matrix (|g><g| - |e><e|) (-1)^(a^dag a): +1 on {|g,even>,
     |e,odd>}, the sector that holds the vacuum |g,0>, and -1 on the complement.
-    Commutes with the Rabi Hamiltonian; every parity mask in the package is
-    read off its diagonal.
+    Commutes with the Rabi Hamiltonian.  parity_labels and dynamics.Sector
+    read their masks off its diagonal; _chain_bands places its sites itself.
     """
     if space.atom_levels != 2:
         raise ValueError("parity is defined on the two-level space")

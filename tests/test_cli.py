@@ -942,9 +942,9 @@ class TestBatchedSweep:
         # the guard fails at point 11, the fourth of the second chunk
         (0.0, 0.9, 40, 4, None, "n_max=4 not converged at lambda=0.253846: "),
         # the fixed point of point 10 is unsolved, before that failure
-        (0.0, 0.9, 40, 4, 7, "did not converge at omega0=1, lambda=0.230769: "),
-        # the fixed point of point 12 is unsolved, after it
-        (0.0, 0.9, 40, 4, 8, "n_max=4 not converged at lambda=0.253846: "),
+        (0.0, 0.9, 40, 4, 2, "did not converge at omega0=1, lambda=0.230769: "),
+        # the fixed point of point 26 is unsolved, after it
+        (0.0, 0.9, 40, 4, 3, "n_max=4 not converged at lambda=0.253846: "),
     ])
     def test_chunks_of_eight_match_pointwise(self, tmp_path, monkeypatch, start, stop, steps,
                                              n_max, max_iter, where):
@@ -994,6 +994,23 @@ class TestWriteCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * col_bytes
+
+    def test_rows_are_stacked_one_block_at_a_time(self, monkeypatch):
+        import tracemalloc
+
+        # a writer that stacks all columns into one table first peaks near
+        # 1.1 times the column bytes here, one that stacks a block near 0.11
+        monkeypatch.setattr(presets, "_CSV_BLOCK_ROWS", 256)
+        rng = np.random.default_rng(0)
+        cols = {f"c{i}": rng.standard_normal(20_000) for i in range(10)}
+        col_bytes = sum(c.nbytes for c in cols.values())
+        tracemalloc.start()
+        try:
+            presets.write_csv(os.devnull, {"k": 1}, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * col_bytes
 
 
 class TestArrayBound:

@@ -98,6 +98,25 @@ class TestFixedPoint:
         assert abs(pol.eta - eta) < 1e-13 and abs(pol.xi - xi) < 1e-13
         assert abs(pol.eta - np.exp(-2.0 * lam**2 * pol.xi**2)) < 1e-15
 
+    @pytest.mark.parametrize("omega0", [0.1, 1.0, 2.5, 4.0, 7.0, 10.0])
+    def test_dense_grid_stops_within_25_steps(self, monkeypatch, omega0):
+        # at omega0 2.5, 4, 7 and 10 these couplings' roots have f' of 0.03-0.18,
+        # where rounding can leave a step jumping about 1e-15 across the root
+        # until the closed bracket stops it
+        cycling = [1.337, 1.353, 1.358, 1.765, 1.769, 2.642, 2.647, 3.543, 3.547]
+        lams = np.union1d(np.linspace(0.0, 6.0, 601), cycling)
+        full = solve_xi_eta(ModelParams(omega0=omega0, coupling=lams))
+        monkeypatch.setattr(polaron, "FIXED_POINT_MAX_ITER", 25)
+        many = solve_xi_eta(ModelParams(omega0=omega0, coupling=lams))
+        # every element has stopped: 200 steps move none of them
+        assert np.array_equal(many.eta, full.eta) and np.array_equal(many.xi, full.xi)
+        for k, lam in enumerate(lams):
+            one = solve_xi_eta(ModelParams(omega0=omega0, coupling=lam))
+            assert one.eta == many.eta[k] and one.xi == many.xi[k]
+            xi, eta = self._plain_iteration(lam, omega0, 200)
+            if eta is not None:
+                assert abs(one.xi - xi) < 1e-14 and abs(one.eta - eta) < 1e-14
+
 
 class TestFixedPointOnArrays:
     """solve_xi_eta on an array of couplings against one call per coupling."""

@@ -66,10 +66,10 @@ def solve_xi_eta(params: ModelParams) -> PolaronParams:
     above stays above it; with one, f increases up to it and any bracket
     holds only that root.  Each element stops at the step that moves its eta
     by less than 1e-15 or leaves its bracket narrower than 1e-14: near the
-    root f is rounding error, so a step is that small or, where f' is small
-    (0.03-0.18 where seen), a jump of about 1e-15 across the root, and as
-    the jumps alternate sides each moves one end of the bracket to eta.  xi
-    is formed from the final eta.
+    root f is rounding error, so a step is that small or, where f' is small,
+    a jump of about 1e-15 across the root, and as the jumps alternate sides
+    each moves one end of the bracket to eta.  xi is formed from the final
+    eta.
 
     params.coupling is one coupling, the one-element case, or a 1-d array of
     them; each element is bit for bit its one-coupling solve.  Raises
